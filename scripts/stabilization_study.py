@@ -18,7 +18,12 @@ from iodmd.linalg import Tolerances, spectral_radius
 from iodmd.plant import build_transport_plant
 from iodmd.pod import pod_sweep
 from iodmd.snapshot import make_pairs, project_pairs
-from iodmd.stabilize import NotStabilizedError, StabilizeConfig, stabilize
+from iodmd.stabilize import (
+    NotStabilizedError,
+    StabilizeConfig,
+    default_memory,
+    stabilize,
+)
 
 
 def main(argv=None):
@@ -48,12 +53,10 @@ def main(argv=None):
             print(f"{budget:>8.0e} {basis.order:>5} {rho:>11.5f}  already stable")
             continue
         reduced = project_pairs(pairs, basis.modes)
-        mem = None if (model.order + 1) * (model.order + 1) <= 2500 else 30
+        config = StabilizeConfig(tau=args.tau, memory=default_memory(model))
         t0 = time.perf_counter()
         try:
-            _, report = stabilize(
-                model, pairs=reduced, config=StabilizeConfig(tau=args.tau, memory=mem)
-            )
+            _, report = stabilize(model, pairs=reduced, config=config)
             status = ""
         except NotStabilizedError as exc:
             # report the closest attempt instead of aborting the study

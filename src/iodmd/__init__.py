@@ -59,6 +59,7 @@ from .stabilize import (
     NotStabilizedError,
     StabilizeConfig,
     StabilizeReport,
+    default_memory,
     save_report_json,
     stabilize,
 )

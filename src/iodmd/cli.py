@@ -18,7 +18,7 @@ from .identify import fit_reduced_iodmd, load_model_json, save_model_json
 from .linalg import Tolerances, spectral_radius, truncated_svd
 from .pod import pod_basis
 from .snapshot import load_trajectory_csv, make_pairs, project_pairs
-from .stabilize import NotStabilizedError, StabilizeConfig, stabilize
+from .stabilize import NotStabilizedError, StabilizeConfig, default_memory, stabilize
 
 __all__ = ["main", "parse_budgets"]
 
@@ -156,7 +156,8 @@ def _cmd_stabilize(args) -> int:
             )
         pairs = project_pairs(pairs, svd.left_vectors[:, : model.order])
     try:
-        repaired, report = stabilize(model, pairs, StabilizeConfig(tau=args.tau))
+        config = StabilizeConfig(tau=args.tau, memory=default_memory(model))
+        repaired, report = stabilize(model, pairs, config)
     except NotStabilizedError as exc:
         print(f"stabilization failed: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from .plant import (
 )
 from .pod import PodBasis, pod_sweep
 from .snapshot import SnapshotPairs, make_pairs, project_pairs
-from .stabilize import NotStabilizedError, StabilizeConfig, stabilize
+from .stabilize import NotStabilizedError, StabilizeConfig, default_memory, stabilize
 
 __all__ = [
     "EXCITATIONS",
@@ -50,11 +50,6 @@ EXCITATIONS = {
 }
 
 _DEFAULT_BUDGETS = tuple(10.0**-k for k in range(1, 9))
-
-# full-memory quasi-Newton above this variable count gets slow; switch to a
-# limited secant history there
-_FULL_MEMORY_LIMIT = 2500
-_LIMITED_MEMORY = 30
 
 
 @dataclass
@@ -138,11 +133,6 @@ def _thread_count() -> int:
     return max(1, count)
 
 
-def _stabilize_memory(model: StateSpaceModel) -> int | None:
-    n_vars = (model.order + model.n_outputs) * (model.order + model.n_inputs)
-    return None if n_vars <= _FULL_MEMORY_LIMIT else _LIMITED_MEMORY
-
-
 def _score(model: StateSpaceModel, u_hat: np.ndarray, y_ref: np.ndarray) -> float:
     """Relative output error of the model replaying the bell input.
 
@@ -200,7 +190,7 @@ def _run_cell(
         rho_after = rho_before
         if cfg.stabilize and not stable_before:
             reduced = project_pairs(pairs, basis.modes)
-            stab_cfg = StabilizeConfig(memory=_stabilize_memory(model))
+            stab_cfg = StabilizeConfig(memory=default_memory(model))
             try:
                 model, report = stabilize(model, reduced, stab_cfg)
                 stabilized = True

@@ -33,6 +33,7 @@ __all__ = [
     "StabilizeConfig",
     "StabilizeReport",
     "NotStabilizedError",
+    "default_memory",
     "stabilize",
     "save_report_json",
 ]
@@ -50,14 +51,31 @@ _PENALTY_CAP = 1e16
 # eigenvalues within this relative window of rho count as tied
 _TIE_WINDOW = 1e-4
 
+# full-memory BFGS above this variable count gets slow; switch to a limited
+# secant history of this many pairs there
+_FULL_MEMORY_LIMIT = 2500
+_LIMITED_MEMORY = 30
+
+# A blocks whose spectral radius and radius gradient one solve keeps; the
+# trial points that recur lie a few evaluations apart
+_MEMO_SIZE = 64
+
+# rows of the dense inverse Hessian updated per block, so the two row-block
+# buffers stay in cache
+_UPDATE_ROWS = 16
+
 
 @dataclass
 class StabilizeConfig:
     """Settings for the exact-penalty stabilization solve.
 
-    memory=None runs full-memory BFGS (dense inverse Hessian, fine up to a
-    few thousand variables); a positive integer k keeps only the k most
-    recent secant pairs.
+    memory=None runs full-memory BFGS: the dense n x n inverse Hessian is
+    updated in place a block of rows at a time, so it needs O(n^2) memory
+    and forms no n x n temporaries, but each update still touches all n^2
+    entries.  A positive integer k keeps only the k most recent secant
+    pairs, O(k n) memory and work per iteration, several times cheaper per
+    iteration from about two thousand variables on; default_memory picks
+    between the two by size.
     """
 
     tau: float = 0.0
@@ -110,6 +128,12 @@ class NotStabilizedError(RuntimeError):
         self.report = report
 
 
+def default_memory(model: StateSpaceModel) -> int | None:
+    """BFGS memory for repairing model: full up to 2500 variables, else 30 pairs."""
+    n_vars = (model.order + model.n_outputs) * (model.order + model.n_inputs)
+    return None if n_vars <= _FULL_MEMORY_LIMIT else _LIMITED_MEMORY
+
+
 def _check_inputs(
     model: StateSpaceModel, pairs: SnapshotPairs | None, config: StabilizeConfig
 ) -> None:
@@ -123,16 +147,12 @@ def _check_inputs(
                 f"snapshot state dimension {pairs.n_states} does not match "
                 f"model order {model.order}"
             )
-        if pairs.u0 is None and model.n_inputs > 0:
-            raise ValueError("model has inputs but pairs carry no input samples")
-        if pairs.u0 is not None and pairs.u0.shape[0] != model.n_inputs:
+        if pairs.u0.shape[0] != model.n_inputs:
             raise ValueError(
                 f"input dimension {pairs.u0.shape[0]} does not match model "
                 f"inputs {model.n_inputs}"
             )
-        if pairs.y0 is None and model.n_outputs > 0:
-            raise ValueError("model has outputs but pairs carry no output samples")
-        if pairs.y0 is not None and pairs.y0.shape[0] != model.n_outputs:
+        if pairs.y0.shape[0] != model.n_outputs:
             raise ValueError(
                 f"output dimension {pairs.y0.shape[0]} does not match model "
                 f"outputs {model.n_outputs}"
@@ -142,19 +162,13 @@ def _check_inputs(
 class _Objective:
     """Smooth part f of the penalty together with its gradient."""
 
-    def __init__(self, mode: str, z0: np.ndarray, pairs: SnapshotPairs | None, order: int):
+    def __init__(self, mode: str, z0: np.ndarray, pairs: SnapshotPairs | None):
         self.mode = mode
         self.z0 = z0
         if mode == "data_fit":
-            assert pairs is not None
-            blocks = [pairs.x0]
-            if pairs.u0 is not None and pairs.u0.shape[0] > 0:
-                blocks.append(pairs.u0)
-            self.data = np.vstack(blocks)
-            targets = [pairs.x1]
-            if z0.shape[0] > order:
-                targets.append(pairs.y0)
-            self.target = np.vstack(targets)
+            # _check_inputs matched the input and output rows to the model
+            self.data = np.vstack([pairs.x0, pairs.u0])
+            self.target = np.vstack([pairs.x1, pairs.y0])
         else:
             self.data = None
             self.target = None
@@ -185,26 +199,50 @@ class _Objective:
         return c0, c1, c2
 
 
-def _penalty_terms(z: np.ndarray, order: int, boundary: float):
-    """Spectral radius of the A block and its violation beyond the boundary."""
-    rho = spectral_radius(z[:order, :order])
-    return rho, max(0.0, rho - boundary)
-
-
-def _penalty_gradient(z: np.ndarray, order: int) -> np.ndarray:
-    grad = np.zeros_like(z)
-    a = z[:order, :order]
+def _radius_gradient(a: np.ndarray) -> np.ndarray:
+    """Gradient of the spectral radius at a, or next to it where it is defective."""
     try:
-        grad_a = spectral_radius_gradient(a).matrix
+        return spectral_radius_gradient(a).matrix
     except np.linalg.LinAlgError:
         # Defective dominant eigenvalue: the gradient does not exist there.
         # Break the degeneracy with a deterministic graded diagonal shift and
         # use the nearby gradient as a subgradient-like direction.
         scale = 1e-10 * max(1.0, float(np.linalg.norm(a, ord="fro")))
-        shift = np.diag(np.linspace(scale, 2.0 * scale, order))
-        grad_a = spectral_radius_gradient(a + shift).matrix
-    grad[:order, :order] = grad_a
-    return grad
+        shift = np.diag(np.linspace(scale, 2.0 * scale, a.shape[0]))
+        return spectral_radius_gradient(a + shift).matrix
+
+
+class _SpectralMemo:
+    """Spectral radius and radius gradient of the A blocks one solve visits.
+
+    The solve evaluates the same trial point more than once: phi and its
+    slope at one step, the accepted point again for its gradient and
+    penalty parts, the backtracking pass over the halving steps, the polish.
+    Keyed on the exact bytes of the block, a hit returns what recomputing
+    would.  Each table keeps the _MEMO_SIZE most recently added blocks.
+    Hits hand out the stored gradient itself: callers only read it.
+    """
+
+    def __init__(self) -> None:
+        self._radius: dict = {}
+        self._gradient: dict = {}
+
+    def radius(self, a: np.ndarray) -> float:
+        return self._lookup(self._radius, a, spectral_radius)
+
+    def gradient(self, a: np.ndarray) -> np.ndarray:
+        return self._lookup(self._gradient, a, _radius_gradient)
+
+    @staticmethod
+    def _lookup(table: dict, a: np.ndarray, compute):
+        key = (a.shape, a.tobytes())
+        value = table.get(key)
+        if value is None:
+            value = compute(a)
+            if len(table) >= _MEMO_SIZE:
+                del table[next(iter(table))]
+            table[key] = value
+        return value
 
 
 def _tied_modulus_gradients(
@@ -262,17 +300,6 @@ def _modulus_clip_shift(a: np.ndarray, target: float) -> np.ndarray | None:
     return q @ t_new @ q.T - a
 
 
-def _penalty_slope(a: np.ndarray, direction_a: np.ndarray) -> float:
-    """Directional derivative of the spectral radius along direction_a."""
-    try:
-        grad_a = spectral_radius_gradient(a).matrix
-    except np.linalg.LinAlgError:
-        scale = 1e-10 * max(1.0, float(np.linalg.norm(a, ord="fro")))
-        shift = np.diag(np.linspace(scale, 2.0 * scale, a.shape[0]))
-        grad_a = spectral_radius_gradient(a + shift).matrix
-    return float(np.sum(grad_a * direction_a))
-
-
 def _min_norm_in_hull(vectors: list[np.ndarray]) -> np.ndarray:
     """Minimum-norm convex combination, by Frank-Wolfe on the simplex."""
     g = np.stack([vec.ravel() for vec in vectors])
@@ -324,11 +351,7 @@ class _InverseHessian:
                 # size the initial matrix from the first secant pair so early
                 # steps are not dominated by the identity scaling
                 self.h *= sy / float(y @ y)
-            hy = self.h @ y
-            yhy = float(y @ hy)
-            self.h += ((sy + yhy) / sy**2) * np.outer(s, s)
-            cross = np.outer(hy, s) / sy
-            self.h -= cross + cross.T
+            self._rank_two_update(s, y, sy)
         else:
             self.pairs.append((s, y, sy))
             if len(self.pairs) > self.memory:
@@ -336,6 +359,34 @@ class _InverseHessian:
             self.scale = sy / float(y @ y)
         self.fresh = False
         return True
+
+    def _rank_two_update(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+        """H += c s s^T - (Hy s^T + s (Hy)^T) / sy, in place by row blocks.
+
+        Each entry is computed as (h + c*(s_i*s_j)) - ((hy_i*s_j)/sy +
+        (s_i*hy_j)/sy), the textbook dense formula's operation order, so H
+        comes out bit-identical to it and exactly symmetric.  Only two
+        _UPDATE_ROWS x n buffers are allocated.
+        """
+        hy = self.h @ y
+        coef = (sy + float(y @ hy)) / sy**2
+        n = s.size
+        buf_a = np.empty((_UPDATE_ROWS, n))
+        buf_b = np.empty((_UPDATE_ROWS, n))
+        for r0 in range(0, n, _UPDATE_ROWS):
+            rows = slice(r0, min(r0 + _UPDATE_ROWS, n))
+            h_rows = self.h[rows]
+            a = buf_a[: h_rows.shape[0]]
+            b = buf_b[: h_rows.shape[0]]
+            np.multiply.outer(s[rows], s, out=a)
+            a *= coef
+            h_rows += a
+            np.multiply.outer(hy[rows], s, out=a)
+            a /= sy
+            np.multiply.outer(s[rows], hy, out=b)
+            b /= sy
+            a += b
+            h_rows -= a
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         if self.memory is None:
@@ -409,7 +460,8 @@ def stabilize(
     order = model.order
     z0 = model.blocks()
     boundary = 1.0 - config.tau
-    rho0 = spectral_radius(z0[:order, :order])
+    memo = _SpectralMemo()
+    rho0 = memo.radius(z0[:order, :order])
 
     def wrap(z: np.ndarray) -> StateSpaceModel:
         return StateSpaceModel(
@@ -433,22 +485,29 @@ def stabilize(
         )
         return wrap(z0), report
 
-    objective = _Objective(config.mode, z0, pairs, order)
+    objective = _Objective(config.mode, z0, pairs)
     f0 = objective.value(z0)
     budget = config.objective_budget_factor * f0
     z0_norm = float(np.linalg.norm(z0))
     mu = config.initial_penalty
 
+    def penalty_terms(z: np.ndarray) -> tuple[float, float]:
+        """Spectral radius of the A block and its violation beyond the boundary."""
+        rho = memo.radius(z[:order, :order])
+        return rho, max(0.0, rho - boundary)
+
     def phi_and_parts(z: np.ndarray):
         f = objective.value(z)
-        rho, violation = _penalty_terms(z, order, boundary)
+        rho, violation = penalty_terms(z)
         return f + mu * violation, f, rho, violation
 
     def grad_phi(z: np.ndarray) -> np.ndarray:
         g = objective.gradient(z)
-        _, violation = _penalty_terms(z, order, boundary)
+        _, violation = penalty_terms(z)
         if violation > 0.0:
-            g = g + mu * _penalty_gradient(z, order)
+            grad = np.zeros_like(z)
+            grad[:order, :order] = memo.gradient(z[:order, :order])
+            g = g + mu * grad
         return g
 
     def tie_direction(z: np.ndarray, violation: float) -> np.ndarray | None:
@@ -500,7 +559,7 @@ def stabilize(
 
         def phi_at(t: float) -> float:
             zt = z_cur + t * p
-            _, violation = _penalty_terms(zt, order, boundary)
+            _, violation = penalty_terms(zt)
             return c0 + t * (c1 + t * c2) + mu * violation
 
         def slope_at(t: float) -> float:
@@ -508,9 +567,10 @@ def stabilize(
             # the spectral radius gradient, not the full data gradient
             zt = z_cur + t * p
             value = c1 + 2.0 * c2 * t
-            _, violation = _penalty_terms(zt, order, boundary)
+            _, violation = penalty_terms(zt)
             if violation > 0.0:
-                value += mu * _penalty_slope(zt[:order, :order], p_a)
+                grad_a = memo.gradient(zt[:order, :order])
+                value += mu * float(np.sum(grad_a * p_a))
             return value
 
         return _line_search(phi_at, slope_at, phi_z, slope)
@@ -606,7 +666,7 @@ def stabilize(
         for _ in range(50):
             eta = 0.5 * (lo_eta + hi_eta)
             cand = z0 + eta * shift
-            if spectral_radius(cand[:order, :order]) <= rho_target:
+            if memo.radius(cand[:order, :order]) <= rho_target:
                 hi_eta = eta
                 best = cand
             else:
@@ -615,12 +675,12 @@ def stabilize(
 
     candidates = [] if best_feasible is None else [best_feasible]
     for cand in (best_rho_z, z_cur):
-        rho_c = spectral_radius(cand[:order, :order])
+        rho_c = memo.radius(cand[:order, :order])
         if rho_c <= 0.0:
             continue
         snapped = cand.copy()
         snapped[:order, :order] *= rho_target / rho_c
-        if spectral_radius(snapped[:order, :order]) > boundary - _FEASIBILITY_MARGIN:
+        if memo.radius(snapped[:order, :order]) > boundary - _FEASIBILITY_MARGIN:
             continue
         candidates.append(snapped)
     if candidates and first_stable < 0:
@@ -650,7 +710,7 @@ def stabilize(
         )
 
     final_f = best_feasible_f
-    final_rho = spectral_radius(best_feasible[:order, :order])
+    final_rho = memo.radius(best_feasible[:order, :order])
     report = StabilizeReport(
         iterations_total=iterations,
         iterations_to_first_stable=first_stable,

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from iodmd import cli
 from iodmd.cli import main, parse_budgets
 from iodmd.excite import ExcitationSpec, excite_pe
-from iodmd.identify import load_model_json
+from iodmd.identify import StateSpaceModel, load_model_json, save_model_json
 from iodmd.linalg import spectral_radius
 from iodmd.plant import build_transport_plant
-from iodmd.snapshot import save_trajectory_csv
+from iodmd.snapshot import TrajectoryData, save_trajectory_csv
+from iodmd.stabilize import StabilizeReport, default_memory
 
 
 def test_parse_budgets_decade_range():
@@ -134,3 +136,60 @@ def test_identify_absolute_budget_mode(tmp_path):
     doc = json.loads(model_path.read_text())
     assert doc["order"] >= 1
     assert np.asarray(doc["A"]).shape == (doc["order"], doc["order"])
+
+
+def test_stabilize_switches_to_limited_memory_above_the_size_limit(
+    tmp_path, monkeypatch
+):
+    # order 50 with one input and one output: 51 * 51 = 2601 variables, over
+    # the 2500 up to which full-memory BFGS is used
+    rng = np.random.default_rng(0)
+    order, k = 50, 60
+    model = StateSpaceModel(
+        a=1.1 * np.eye(order),
+        b=rng.standard_normal((order, 1)),
+        c=rng.standard_normal((1, order)),
+        d=np.zeros((1, 1)),
+    )
+    model_path = tmp_path / "model.json"
+    save_model_json(model, model_path)
+    data = tmp_path / "traj.csv"
+    traj = TrajectoryData(
+        states=rng.standard_normal((order, k)),
+        inputs=rng.standard_normal((1, k)),
+        outputs=rng.standard_normal((1, k)),
+    )
+    save_trajectory_csv(traj, data)
+    configs = []
+
+    def fake_stabilize(model, pairs, config):
+        configs.append(config)
+        report = StabilizeReport(
+            iterations_total=1,
+            iterations_to_first_stable=1,
+            final_objective_ratio=1.0,
+            final_spectral_radius=0.5,
+            relative_model_change=0.0,
+            converged=True,
+        )
+        return model, report
+
+    monkeypatch.setattr(cli, "stabilize", fake_stabilize)
+    code = main(
+        [
+            "stabilize",
+            "--model",
+            str(model_path),
+            "--data",
+            str(data),
+            "--tau",
+            "0.1",
+            "--out",
+            str(tmp_path / "model_s.json"),
+        ]
+    )
+    assert code == 0
+    (config,) = configs
+    assert config.memory is not None
+    assert config.memory == default_memory(model)
+    assert config.tau == 0.1

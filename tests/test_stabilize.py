@@ -1,5 +1,6 @@
 """Exact-penalty stabilization: analytic scalar cases, report contracts."""
 
+import importlib
 import json
 
 import numpy as np
@@ -11,12 +12,17 @@ from iodmd.identify import StateSpaceModel, fit_iodmd
 from iodmd.linalg import Tolerances, spectral_radius
 from iodmd.snapshot import SnapshotPairs
 from iodmd.stabilize import (
+    _MEMO_SIZE,
     StabilizeConfig,
     StabilizeReport,
+    _InverseHessian,
     _modulus_clip_shift,
     save_report_json,
     stabilize,
 )
+
+# the package re-exports the function stabilize over its module name
+stabilize_module = importlib.import_module("iodmd.stabilize")
 
 
 def scalar_model(a_value=1.05):
@@ -222,3 +228,65 @@ def test_modulus_clip_lands_the_spectrum_on_the_target():
         inside = a * (0.5 * target / spectral_radius(a))
         assert _modulus_clip_shift(inside, target) is None
     assert complex_outer > 50
+
+
+def textbook_bfgs_update(h, s, y, fresh):
+    """Dense inverse-Hessian BFGS update through full n x n outer products."""
+    sy = float(s @ y)
+    if fresh:
+        h *= sy / float(y @ y)
+    hy = h @ y
+    yhy = float(y @ hy)
+    h += ((sy + yhy) / sy**2) * np.outer(s, s)
+    cross = np.outer(hy, s) / sy
+    h -= cross + cross.T
+
+
+@pytest.mark.parametrize("n", [37, 2304])
+def test_dense_update_is_bit_identical_to_the_textbook_formula(n):
+    rng = np.random.default_rng(n)
+    hessian = _InverseHessian(n, None)
+    reference = np.eye(n)
+    for k in range(3):
+        s = rng.standard_normal(n)
+        y = s + 0.3 * rng.standard_normal(n)
+        textbook_bfgs_update(reference, s, y, fresh=k == 0)
+        assert hessian.update(s, y)
+        assert np.array_equal(hessian.h.view(np.uint64), reference.view(np.uint64))
+        assert np.array_equal(hessian.h, hessian.h.T)
+
+
+@pytest.mark.parametrize("rho_target", [1.3, 5.0])
+def test_no_a_block_is_decomposed_twice_within_the_memo_bound(
+    monkeypatch, rho_target
+):
+    seen = {"spectral_radius": [], "spectral_radius_gradient": []}
+
+    def recording(name):
+        original = getattr(stabilize_module, name)
+
+        def record(a):
+            seen[name].append((a.shape, a.tobytes()))
+            return original(a)
+
+        return record
+
+    for name in seen:
+        monkeypatch.setattr(stabilize_module, name, recording(name))
+    model, pairs = noisy_unstable_fit(0, rho_target=rho_target)
+    stabilize(model, pairs)
+    for name, keys in seen.items():
+        assert keys, name
+        for i, key in enumerate(keys):
+            assert key not in keys[max(0, i - _MEMO_SIZE) : i], (name, i)
+
+
+def test_back_to_back_solves_match_solo_solves():
+    # both models have order 5, so a memo that outlived one solve or keyed
+    # on less than the block's bytes would feed one model the other's radii
+    problems = [noisy_unstable_fit(3), noisy_unstable_fit(4)]
+    first = [stabilize(model, pairs) for model, pairs in problems]
+    again = [stabilize(model, pairs) for model, pairs in reversed(problems)][::-1]
+    for (out_a, rep_a), (out_b, rep_b) in zip(first, again):
+        assert np.array_equal(out_a.blocks(), out_b.blocks())
+        assert rep_a == rep_b
