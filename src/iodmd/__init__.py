@@ -59,7 +59,6 @@ from .stabilize import (
     NotStabilizedError,
     StabilizeConfig,
     StabilizeReport,
-    default_memory,
     save_report_json,
     stabilize,
 )

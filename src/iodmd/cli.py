@@ -18,7 +18,7 @@ from .identify import fit_reduced_iodmd, load_model_json, save_model_json
 from .linalg import Tolerances, spectral_radius, truncated_svd
 from .pod import pod_basis
 from .snapshot import load_trajectory_csv, make_pairs, project_pairs
-from .stabilize import NotStabilizedError, StabilizeConfig, default_memory, stabilize
+from .stabilize import NotStabilizedError, StabilizeConfig, stabilize
 
 __all__ = ["main", "parse_budgets"]
 
@@ -156,8 +156,7 @@ def _cmd_stabilize(args) -> int:
             )
         pairs = project_pairs(pairs, svd.left_vectors[:, : model.order])
     try:
-        config = StabilizeConfig(tau=args.tau, memory=default_memory(model))
-        repaired, report = stabilize(model, pairs, config)
+        repaired, report = stabilize(model, pairs, StabilizeConfig(tau=args.tau))
     except NotStabilizedError as exc:
         print(f"stabilization failed: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from .plant import (
 )
 from .pod import PodBasis, pod_sweep
 from .snapshot import SnapshotPairs, make_pairs, project_pairs
-from .stabilize import NotStabilizedError, StabilizeConfig, default_memory, stabilize
+from .stabilize import NotStabilizedError, StabilizeConfig, stabilize
 
 __all__ = [
     "EXCITATIONS",
@@ -190,9 +190,8 @@ def _run_cell(
         rho_after = rho_before
         if cfg.stabilize and not stable_before:
             reduced = project_pairs(pairs, basis.modes)
-            stab_cfg = StabilizeConfig(memory=default_memory(model))
             try:
-                model, report = stabilize(model, reduced, stab_cfg)
+                model, report = stabilize(model, reduced, StabilizeConfig())
                 stabilized = True
             except NotStabilizedError as exc:
                 # keep the unstable fit for scoring, flag the row

@@ -79,7 +79,6 @@ class SimConfig:
 
     dt: float
     horizon: float
-    method: str = "implicit_euler"
     input_timing: str = "end"
 
     def __post_init__(self) -> None:
@@ -87,8 +86,6 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.method not in ("implicit_euler", "discrete_step"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.input_timing not in ("end", "start"):
             raise ValueError(f"unknown input_timing {self.input_timing!r}")
         ratio = self.horizon / self.dt
@@ -144,8 +141,6 @@ def simulate_continuous(plant: Plant, u, x0, cfg: SimConfig) -> TrajectoryData:
     u_{k+1} or u_k depending on cfg.input_timing. The sparse LU of
     (I - dt A) is computed once and reused for every step.
     """
-    if cfg.method != "implicit_euler":
-        raise ValueError("simulate_continuous requires method='implicit_euler'")
     n = plant.n_states
     steps = cfg.n_steps
     u_arr = _input_samples(u, plant.n_inputs, steps + 1)

@@ -4,16 +4,17 @@ Unstable fits are repaired by minimizing an exact penalty function
 
     phi(Z) = f(Z) + mu * max(0, rho(A(Z)) - (1 - tau))
 
-over the stacked system matrix Z = [A B; C D] with a quasi-Newton method.
-The data-fit objective keeps the repaired model close to the regression
-data it was identified from; the model-fit objective keeps it close to the
-unstable model itself.  The spectral radius is nonsmooth, so the line
-search only requires weak Wolfe conditions and secant pairs violating the
-curvature guard are dropped.  Eigenvalue-modulus ties, where the single-
-eigenvalue subgradient stops giving descent, are escaped with a min-norm
-direction over the active eigenvalue gradients; if that also fails, a
-direction that contracts the outer eigenvalue moduli through the blocks of
-the real Schur form is tried before the penalty weight is escalated.
+over the stacked system matrix Z = [A B; C D] with limited-memory BFGS,
+which keeps the 30 most recent secant pairs.  The data-fit objective keeps
+the repaired model close to the regression data it was identified from; the
+model-fit objective keeps it close to the unstable model itself.  The
+spectral radius is nonsmooth, so the line search only requires weak Wolfe
+conditions and secant pairs violating the curvature guard are dropped.
+Eigenvalue-modulus ties, where the single-eigenvalue subgradient stops
+giving descent, are escaped with a min-norm direction over the active
+eigenvalue gradients; if that also fails, a direction that contracts the
+outer eigenvalue moduli through the blocks of the real Schur form is tried
+before the penalty weight is escalated.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "StabilizeConfig",
     "StabilizeReport",
     "NotStabilizedError",
-    "default_memory",
     "stabilize",
     "save_report_json",
 ]
@@ -51,56 +51,44 @@ _PENALTY_CAP = 1e16
 # eigenvalues within this relative window of rho count as tied
 _TIE_WINDOW = 1e-4
 
-# full-memory BFGS above this variable count gets slow; switch to a limited
-# secant history of this many pairs there
-_FULL_MEMORY_LIMIT = 2500
-_LIMITED_MEMORY = 30
+# the solve stops at the first feasible iterate whose objective is within
+# this factor of the unrepaired model's
+_OBJECTIVE_BUDGET_FACTOR = 1000.0
+
+# a step that lowers the penalty by less than this relative amount stalls
+_OPT_TOL = 1e-8
+
+# iterations before the solve stops and returns its best candidate
+_MAX_ITERATIONS = 2000
+
+# penalty weight mu at the start of the solve
+_INITIAL_PENALTY = 1.0
+
+# secant pairs kept by the limited-memory BFGS inverse Hessian
+_MEMORY = 30
 
 # A blocks whose spectral radius and radius gradient one solve keeps; the
 # trial points that recur lie a few evaluations apart
 _MEMO_SIZE = 64
-
-# rows of the dense inverse Hessian updated per block, so the two row-block
-# buffers stay in cache
-_UPDATE_ROWS = 16
 
 
 @dataclass
 class StabilizeConfig:
     """Settings for the exact-penalty stabilization solve.
 
-    memory=None runs full-memory BFGS: the dense n x n inverse Hessian is
-    updated in place a block of rows at a time, so it needs O(n^2) memory
-    and forms no n x n temporaries, but each update still touches all n^2
-    entries.  A positive integer k keeps only the k most recent secant
-    pairs, O(k n) memory and work per iteration, several times cheaper per
-    iteration from about two thousand variables on; default_memory picks
-    between the two by size.
+    tau is the stability margin: the repaired model has rho(A) < 1 - tau.
+    mode "data_fit" keeps the repaired model close to the snapshot pairs it
+    was identified from, "model_fit" close to the unstable model itself.
     """
 
     tau: float = 0.0
-    objective_budget_factor: float = 1000.0
-    opt_tol: float = 1e-8
-    max_iterations: int = 2000
-    memory: int | None = None
     mode: str = "data_fit"
-    initial_penalty: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau < 1.0:
             raise ValueError("tau must lie in [0, 1)")
-        if self.objective_budget_factor < 1.0:
-            raise ValueError("objective_budget_factor must be >= 1")
-        if self.opt_tol <= 0.0:
-            raise ValueError("opt_tol must be positive")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        if self.memory is not None and self.memory <= 0:
-            raise ValueError("memory must be None (full) or a positive history length")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if self.initial_penalty <= 0.0:
-            raise ValueError("initial_penalty must be positive")
 
 
 @dataclass
@@ -126,12 +114,6 @@ class NotStabilizedError(RuntimeError):
         super().__init__(message)
         self.model = model
         self.report = report
-
-
-def default_memory(model: StateSpaceModel) -> int | None:
-    """BFGS memory for repairing model: full up to 2500 variables, else 30 pairs."""
-    n_vars = (model.order + model.n_outputs) * (model.order + model.n_inputs)
-    return None if n_vars <= _FULL_MEMORY_LIMIT else _LIMITED_MEMORY
 
 
 def _check_inputs(
@@ -323,74 +305,26 @@ def _min_norm_in_hull(vectors: list[np.ndarray]) -> np.ndarray:
 
 
 class _InverseHessian:
-    """Full-memory BFGS matrix or a limited secant history, same interface."""
+    """Limited-memory BFGS inverse Hessian over the _MEMORY newest secant pairs."""
 
-    def __init__(self, n_vars: int, memory: int | None):
-        self.memory = memory
-        self.fresh = True
-        if memory is None:
-            self.h = np.eye(n_vars)
-        else:
-            self.pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-        self.scale = 1.0
+    def __init__(self) -> None:
+        self.reset()
 
     def reset(self) -> None:
-        if self.memory is None:
-            self.h = np.eye(self.h.shape[0])
-        else:
-            self.pairs = []
+        self.pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
         self.scale = 1.0
-        self.fresh = True
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         sy = float(s @ y)
         if sy <= 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             return False
-        if self.memory is None:
-            if self.fresh:
-                # size the initial matrix from the first secant pair so early
-                # steps are not dominated by the identity scaling
-                self.h *= sy / float(y @ y)
-            self._rank_two_update(s, y, sy)
-        else:
-            self.pairs.append((s, y, sy))
-            if len(self.pairs) > self.memory:
-                self.pairs.pop(0)
-            self.scale = sy / float(y @ y)
-        self.fresh = False
+        self.pairs.append((s, y, sy))
+        if len(self.pairs) > _MEMORY:
+            self.pairs.pop(0)
+        self.scale = sy / float(y @ y)
         return True
 
-    def _rank_two_update(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
-        """H += c s s^T - (Hy s^T + s (Hy)^T) / sy, in place by row blocks.
-
-        Each entry is computed as (h + c*(s_i*s_j)) - ((hy_i*s_j)/sy +
-        (s_i*hy_j)/sy), the textbook dense formula's operation order, so H
-        comes out bit-identical to it and exactly symmetric.  Only two
-        _UPDATE_ROWS x n buffers are allocated.
-        """
-        hy = self.h @ y
-        coef = (sy + float(y @ hy)) / sy**2
-        n = s.size
-        buf_a = np.empty((_UPDATE_ROWS, n))
-        buf_b = np.empty((_UPDATE_ROWS, n))
-        for r0 in range(0, n, _UPDATE_ROWS):
-            rows = slice(r0, min(r0 + _UPDATE_ROWS, n))
-            h_rows = self.h[rows]
-            a = buf_a[: h_rows.shape[0]]
-            b = buf_b[: h_rows.shape[0]]
-            np.multiply.outer(s[rows], s, out=a)
-            a *= coef
-            h_rows += a
-            np.multiply.outer(hy[rows], s, out=a)
-            a /= sy
-            np.multiply.outer(s[rows], hy, out=b)
-            b /= sy
-            a += b
-            h_rows -= a
-
     def apply(self, g: np.ndarray) -> np.ndarray:
-        if self.memory is None:
-            return self.h @ g
         # standard two-loop recursion over the retained secant pairs
         q = g.copy()
         alphas = []
@@ -487,9 +421,9 @@ def stabilize(
 
     objective = _Objective(config.mode, z0, pairs)
     f0 = objective.value(z0)
-    budget = config.objective_budget_factor * f0
+    budget = _OBJECTIVE_BUDGET_FACTOR * f0
     z0_norm = float(np.linalg.norm(z0))
-    mu = config.initial_penalty
+    mu = _INITIAL_PENALTY
 
     def penalty_terms(z: np.ndarray) -> tuple[float, float]:
         """Spectral radius of the A block and its violation beyond the boundary."""
@@ -534,7 +468,7 @@ def stabilize(
     z_cur = z0.copy()
     phi_z, f_z, rho_z, violation_z = phi_and_parts(z_cur)
     g = grad_phi(z_cur)
-    hessian = _InverseHessian(z_cur.size, config.memory)
+    hessian = _InverseHessian()
 
     best_feasible: np.ndarray | None = None
     best_feasible_f = np.inf
@@ -575,7 +509,7 @@ def stabilize(
 
         return _line_search(phi_at, slope_at, phi_z, slope)
 
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         iterations = iteration
         p = -hessian.apply(g.ravel()).reshape(z_cur.shape)
         slope = float(g.ravel() @ p.ravel())
@@ -640,7 +574,7 @@ def stabilize(
                 converged = True
                 break
 
-        if decrease <= config.opt_tol * max(1.0, abs(phi_z)):
+        if decrease <= _OPT_TOL * max(1.0, abs(phi_z)):
             stall_count += 1
         else:
             stall_count = 0

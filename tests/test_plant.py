@@ -52,8 +52,6 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.3, horizon=1.0)  # not an integer number of steps
     with pytest.raises(ValueError):
-        SimConfig(dt=0.1, horizon=1.0, method="rk4")
-    with pytest.raises(ValueError):
         SimConfig(dt=0.1, horizon=1.0, input_timing="middle")
     assert SimConfig(dt=0.1, horizon=1.0).n_steps == 10
 
@@ -101,10 +99,6 @@ def test_simulate_continuous_rejects_bad_start_and_method():
     cfg = SimConfig(dt=0.1, horizon=0.5)
     with pytest.raises(ValueError):
         simulate_continuous(plant, None, np.ones(3), cfg)
-    with pytest.raises(ValueError):
-        simulate_continuous(
-            plant, None, None, SimConfig(dt=0.1, horizon=0.5, method="discrete_step")
-        )
 
 
 def test_simulate_discrete_matches_manual_loop():

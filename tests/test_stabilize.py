@@ -13,6 +13,7 @@ from iodmd.linalg import Tolerances, spectral_radius
 from iodmd.snapshot import SnapshotPairs
 from iodmd.stabilize import (
     _MEMO_SIZE,
+    _MEMORY,
     StabilizeConfig,
     StabilizeReport,
     _InverseHessian,
@@ -107,8 +108,9 @@ def test_model_fit_moves_only_the_offending_eigenvalue():
     assert report.relative_model_change <= 0.35
 
 
-def test_data_fit_repairs_noisy_unstable_model():
-    model, pairs = noisy_unstable_fit(0)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_data_fit_repairs_noisy_unstable_model(seed):
+    model, pairs = noisy_unstable_fit(seed)
     f0 = data_misfit(model, pairs)
     assert f0 > 0.0
     out, report = stabilize(model, pairs)
@@ -123,13 +125,6 @@ def test_data_fit_repairs_noisy_unstable_model():
     assert report.converged
     assert f_final <= 1000.0 * f0
     assert 1 <= report.iterations_to_first_stable <= report.iterations_total
-
-
-def test_limited_memory_also_succeeds():
-    model, pairs = noisy_unstable_fit(1)
-    out, report = stabilize(model, pairs, StabilizeConfig(memory=10))
-    assert spectral_radius(out.a) < 1.0
-    assert report.converged
 
 
 def test_solver_is_deterministic():
@@ -159,17 +154,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StabilizeConfig(tau=1.0)
     with pytest.raises(ValueError):
-        StabilizeConfig(objective_budget_factor=0.5)
-    with pytest.raises(ValueError):
-        StabilizeConfig(opt_tol=0.0)
-    with pytest.raises(ValueError):
-        StabilizeConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        StabilizeConfig(memory=-1)
-    with pytest.raises(ValueError):
         StabilizeConfig(mode="closest_fit")
-    with pytest.raises(ValueError):
-        StabilizeConfig(initial_penalty=0.0)
 
 
 def test_report_json_roundtrip(tmp_path):
@@ -230,11 +215,9 @@ def test_modulus_clip_lands_the_spectrum_on_the_target():
     assert complex_outer > 50
 
 
-def textbook_bfgs_update(h, s, y, fresh):
+def textbook_bfgs_update(h, s, y):
     """Dense inverse-Hessian BFGS update through full n x n outer products."""
     sy = float(s @ y)
-    if fresh:
-        h *= sy / float(y @ y)
     hy = h @ y
     yhy = float(y @ hy)
     h += ((sy + yhy) / sy**2) * np.outer(s, s)
@@ -242,18 +225,30 @@ def textbook_bfgs_update(h, s, y, fresh):
     h -= cross + cross.T
 
 
-@pytest.mark.parametrize("n", [37, 2304])
-def test_dense_update_is_bit_identical_to_the_textbook_formula(n):
-    rng = np.random.default_rng(n)
-    hessian = _InverseHessian(n, None)
-    reference = np.eye(n)
-    for k in range(3):
+def dense_inverse_hessian(pairs, n):
+    """BFGS matrix from scale * I, scale from the newest pair, over pairs in order."""
+    s_new, y_new = pairs[-1]
+    h = (float(s_new @ y_new) / float(y_new @ y_new)) * np.eye(n)
+    for s, y in pairs:
+        textbook_bfgs_update(h, s, y)
+    return h
+
+
+def test_two_loop_recursion_matches_the_dense_bfgs_matrix():
+    n = 50
+    rng = np.random.default_rng(0)
+    hessian = _InverseHessian()
+    pairs = []
+    for _ in range(_MEMORY + 1):
         s = rng.standard_normal(n)
         y = s + 0.3 * rng.standard_normal(n)
-        textbook_bfgs_update(reference, s, y, fresh=k == 0)
         assert hessian.update(s, y)
-        assert np.array_equal(hessian.h.view(np.uint64), reference.view(np.uint64))
-        assert np.array_equal(hessian.h, hessian.h.T)
+        pairs.append((s, y))
+        g = rng.standard_normal(n)
+        # the pair past the history length evicts the oldest
+        kept = dense_inverse_hessian(pairs[-_MEMORY:], n)
+        assert np.allclose(hessian.apply(g), kept @ g)
+    assert not np.allclose(hessian.apply(g), dense_inverse_hessian(pairs, n) @ g)
 
 
 @pytest.mark.parametrize("rho_target", [1.3, 5.0])
