@@ -18,7 +18,7 @@ import pathlib
 import sys
 import time
 
-from iodmd.harness import ExperimentConfig, run_experiment
+from iodmd.harness import ExperimentConfig, _first_seen, run_experiment
 
 VARIANTS = {
     "plain": {"regularization_eps": 0.0, "stabilize": False},
@@ -29,14 +29,8 @@ VARIANTS = {
 
 
 def print_error_table(rows):
-    tags = []
-    for r in rows:
-        if r.excitation not in tags:
-            tags.append(r.excitation)
-    budgets = []
-    for r in rows:
-        if r.budget not in budgets:
-            budgets.append(r.budget)
+    tags = _first_seen([r.excitation for r in rows])
+    budgets = _first_seen([r.budget for r in rows])
     cell = {(r.excitation, r.budget): r for r in rows}
     print(f"  {'budget':>8}  " + "  ".join(f"{t:>12}" for t in tags))
     for b in budgets:

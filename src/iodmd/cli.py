@@ -15,7 +15,8 @@ import sys
 
 from .harness import EXCITATIONS, ExperimentConfig, run_experiment
 from .identify import fit_reduced_iodmd, load_model_json, save_model_json
-from .linalg import Tolerances, spectral_radius, truncated_svd
+from .linalg import Tolerances, spectral_radius
+from .linalg import truncated_svd  # noqa: F401 - bench/tracing.py patches this name
 from .pod import pod_basis
 from .snapshot import load_trajectory_csv, make_pairs, project_pairs
 from .stabilize import NotStabilizedError, StabilizeConfig, stabilize
@@ -146,15 +147,20 @@ def _cmd_stabilize(args) -> int:
     traj = load_trajectory_csv(args.data)
     pairs = make_pairs(traj)
     if pairs.n_states != model.order:
-        # full-order data for a reduced model: recompress the states with the
-        # leading left singular vectors, which is the basis the fit used
-        svd = truncated_svd(traj.states, eps=0.0)
-        if svd.left_vectors.shape[1] < model.order:
+        # full-order data for a reduced model: compress the states with the
+        # basis the fit used, which the model file carries
+        if model.basis is None:
             raise SystemExit(
-                f"data rank {svd.left_vectors.shape[1]} cannot span a model "
-                f"of order {model.order}"
+                f"{args.model} has order {model.order} and stores no basis, so "
+                f"the {pairs.n_states}-state data in {args.data} cannot be "
+                "projected onto it"
             )
-        pairs = project_pairs(pairs, svd.left_vectors[:, : model.order])
+        if model.basis.shape[0] != pairs.n_states:
+            raise SystemExit(
+                f"the basis in {args.model} has {model.basis.shape[0]} rows, "
+                f"but {args.data} has {pairs.n_states} states"
+            )
+        pairs = project_pairs(pairs, model.basis)
     try:
         repaired, report = stabilize(model, pairs, StabilizeConfig(tau=args.tau))
     except NotStabilizedError as exc:

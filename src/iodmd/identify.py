@@ -251,24 +251,33 @@ def to_continuous(model: StateSpaceModel, h: float) -> StateSpaceModel:
 
 
 def save_model_json(model: StateSpaceModel, path) -> None:
-    """Serialize a model to JSON; floats round-trip exactly."""
+    """Serialize a model to JSON, basis and ``underdetermined`` flag included;
+    floats round-trip exactly."""
     doc = {
         "order": model.order,
         "m": model.n_inputs,
         "p": model.n_outputs,
         "time_domain": model.time_domain,
         "step_width": model.step_width,
+        "underdetermined": model.underdetermined,
         "A": model.a.tolist(),
         "B": model.b.tolist(),
         "C": model.c.tolist(),
         "D": model.d.tolist(),
+        "basis": None if model.basis is None else model.basis.tolist(),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def load_model_json(path) -> StateSpaceModel:
+    """Read a model written by ``save_model_json``.
+
+    Files without ``basis`` or ``underdetermined`` load with no basis and
+    the flag unset.
+    """
     doc = json.loads(Path(path).read_text())
     r, m, p = doc["order"], doc["m"], doc["p"]
+    basis = doc.get("basis")
     return StateSpaceModel(
         a=np.asarray(doc["A"], dtype=float).reshape(r, r),
         b=np.asarray(doc["B"], dtype=float).reshape(r, m),
@@ -276,4 +285,6 @@ def load_model_json(path) -> StateSpaceModel:
         d=np.asarray(doc["D"], dtype=float).reshape(p, m),
         time_domain=doc["time_domain"],
         step_width=doc["step_width"],
+        basis=None if basis is None else np.asarray(basis, dtype=float).reshape(-1, r),
+        underdetermined=bool(doc.get("underdetermined", False)),
     )

@@ -3,6 +3,12 @@
 The basis is cut at the smallest mode count whose discarded tail energy
 ``sqrt(sum_{i>n} s_i^2)`` stays within the budget; by the Schmidt-Eckart-
 Young bound that tail also bounds the Frobenius projection error.
+
+``pod_sweep`` factors the snapshot matrix with a blocked randomized range
+finder (Halko, Martinsson & Tropp, *Finding structure with randomness*,
+2011) run to the machine-rank floor instead of to a fixed rank, so it only
+computes the singular vectors a budget can keep. ``pod_basis`` takes the
+dense LAPACK SVD.
 """
 
 from __future__ import annotations
@@ -14,6 +20,12 @@ import numpy as np
 from .linalg import machine_rank, truncated_svd
 
 __all__ = ["PodBasis", "pod_basis", "pod_sweep"]
+
+# Gaussian test vectors drawn per range-finder step
+_BLOCK = 48
+# the sketch is seeded per call, so a matrix always gets the same basis,
+# whichever thread or call order factors it
+_SKETCH_SEED = 0
 
 
 @dataclass
@@ -37,6 +49,86 @@ def _tail_energies(s: np.ndarray, dim_max: int) -> np.ndarray:
     return np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])
 
 
+def _dense_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    svd = truncated_svd(x, eps=0.0)
+    return svd.left_vectors, svd.singular_values
+
+
+def _bases(x, error_budgets, mode: str, per_snapshot: bool, factor) -> list[PodBasis]:
+    """One basis per budget from the left singular vectors and values that
+    ``factor(x)`` returns. Every argument is checked first, so that bad
+    input fails before the factorization."""
+    error_budgets = list(error_budgets)
+    if mode not in ("relative", "absolute"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if any(budget < 0 for budget in error_budgets):
+        raise ValueError("error budget must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"snapshot matrix must be 2-D, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("snapshot matrix contains non-finite entries")
+    norm = np.linalg.norm(x)
+    if norm == 0.0:
+        raise ValueError("cannot build a POD basis from a zero snapshot matrix")
+
+    u, s = factor(x)
+    tails = _tail_energies(s, max(x.shape))
+    out = []
+    for budget in error_budgets:
+        threshold = budget * norm if mode == "relative" else float(budget)
+        if per_snapshot:
+            threshold *= np.sqrt(x.shape[1])
+        # tails[n] is the energy discarded when keeping n modes
+        n = int(np.argmax(tails <= threshold)) if tails[-1] <= threshold else s.size
+        n = max(n, 1)
+        out.append(
+            PodBasis(
+                modes=u[:, :n],
+                retained_singular_values=s[:n],
+                discarded_energy=float(tails[n]) if n < tails.size else 0.0,
+                requested_error=float(budget),
+            )
+        )
+    return out
+
+
+def _range_finder_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading left singular vectors and values of ``x`` down to its
+    machine-rank floor.
+
+    The orthonormal basis Q grows by blocks of ``_BLOCK`` columns drawn from
+    the residual ``X - Q Q^T X``, which is kept explicitly: estimating its
+    norm from ``||X||^2 - ||Q^T X||^2`` cancels below sqrt(eps). Each block
+    is orthogonalized against Q twice, with a QR after each pass. Growth
+    stops once ``||X - Q Q^T X||_F <= max(m, n) * eps * sigma_1``, the floor
+    below which ``machine_rank`` zeroes singular values anyway, and the SVD
+    of the small matrix ``Q^T X`` gives the result. A matrix whose sketch
+    would reach min(m, n)/2 columns is close to full rank, and the dense
+    SVD is cheaper there.
+    """
+    m, n = x.shape
+    rng = np.random.default_rng(_SKETCH_SEED)
+    q = np.empty((m, 0))
+    residual = x.copy()
+    floor = None
+    while 2 * (q.shape[1] + _BLOCK) < min(m, n):
+        y = residual @ rng.standard_normal((n, _BLOCK))
+        for _ in range(2):
+            y -= q @ (q.T @ y)
+            y, _ = np.linalg.qr(y)
+        b = y.T @ residual
+        if floor is None:
+            # the first block captures the dominant direction of X
+            floor = max(m, n) * np.finfo(float).eps * np.linalg.norm(b, 2)
+        residual -= y @ b
+        q = np.hstack([q, y])
+        if np.linalg.norm(residual) <= floor:
+            ub, s, _ = np.linalg.svd(q.T @ x, full_matrices=False)
+            return q @ ub, s
+    return _dense_svd(x)
+
+
 def pod_basis(
     x,
     error_budget: float,
@@ -49,8 +141,12 @@ def pod_basis(
     ``mode='absolute'`` uses it as-is. ``per_snapshot`` additionally divides
     the tail energy by sqrt(#snapshots), reading the budget as a mean
     per-snapshot error. At least one mode is always retained.
+
+    The modes are the leading left singular vectors of the dense LAPACK SVD
+    (``np.linalg.svd``), column signs included, so anyone holding ``x`` can
+    rebuild the basis a model from ``iodmd identify`` was fit on.
     """
-    return pod_sweep(x, [error_budget], mode=mode, per_snapshot=per_snapshot)[0]
+    return _bases(x, [error_budget], mode, per_snapshot, _dense_svd)[0]
 
 
 def pod_sweep(
@@ -59,34 +155,13 @@ def pod_sweep(
     mode: str = "relative",
     per_snapshot: bool = False,
 ) -> list[PodBasis]:
-    """Bases for several budgets from a single SVD of the snapshot matrix."""
-    if mode not in ("relative", "absolute"):
-        raise ValueError(f"unknown mode {mode!r}")
-    x = np.asarray(x, dtype=float)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        raise ValueError("cannot build a POD basis from a zero snapshot matrix")
+    """Bases for several budgets, each read as in ``pod_basis``, from one
+    factorization of the snapshot matrix.
 
-    svd = truncated_svd(x, eps=0.0)
-    s = svd.singular_values
-    tails = _tail_energies(s, max(x.shape))
-
-    out = []
-    for budget in error_budgets:
-        if budget < 0:
-            raise ValueError("error budget must be nonnegative")
-        threshold = budget * norm if mode == "relative" else float(budget)
-        if per_snapshot:
-            threshold *= np.sqrt(x.shape[1])
-        # tails[n] is the energy discarded when keeping n modes
-        n = int(np.argmax(tails <= threshold)) if tails[-1] <= threshold else s.size
-        n = max(n, 1)
-        out.append(
-            PodBasis(
-                modes=svd.left_vectors[:, :n],
-                retained_singular_values=s[:n],
-                discarded_energy=float(tails[n]) if n < tails.size else 0.0,
-                requested_error=float(budget),
-            )
-        )
-    return out
+    The factorization is the range finder of ``_range_finder_svd``, so the
+    bases are nested and cut at the same orders as the dense SVD's up to
+    singular values at the machine-rank floor; their column signs may
+    differ from ``pod_basis``. Every budget is checked before ``x`` is
+    factored.
+    """
+    return _bases(x, error_budgets, mode, per_snapshot, _range_finder_svd)

@@ -11,8 +11,15 @@ from iodmd.excite import ExcitationSpec, excite_pe
 from iodmd.identify import StateSpaceModel, load_model_json, save_model_json
 from iodmd.linalg import spectral_radius
 from iodmd.plant import build_transport_plant
-from iodmd.snapshot import TrajectoryData, save_trajectory_csv
-from iodmd.stabilize import StabilizeConfig, StabilizeReport
+from iodmd.pod import pod_basis
+from iodmd.snapshot import (
+    TrajectoryData,
+    load_trajectory_csv,
+    make_pairs,
+    project_pairs,
+    save_trajectory_csv,
+)
+from iodmd.stabilize import StabilizeConfig, StabilizeReport, stabilize
 
 
 def test_parse_budgets_decade_range():
@@ -113,6 +120,36 @@ def test_identify_then_stabilize_roundtrip(tmp_path, capsys):
     assert repaired.order == model.order
     out = capsys.readouterr().out
     assert "unstable" in out and "stabilized in" in out
+
+    # the model file carries the basis the fit used, and the CLI repair is
+    # the library repair of the data projected onto it, bit for bit
+    traj = load_trajectory_csv(data)
+    expected_basis = pod_basis(traj.states, 1e-6).modes
+    assert np.array_equal(model.basis.view(np.uint64), expected_basis.view(np.uint64))
+    expected, _ = stabilize(
+        model, project_pairs(make_pairs(traj), model.basis), StabilizeConfig()
+    )
+    assert np.array_equal(repaired.blocks().view(np.uint64), expected.blocks().view(np.uint64))
+    assert np.array_equal(repaired.basis, model.basis)
+
+
+def test_stabilize_needs_the_basis_of_a_reduced_model(tmp_path):
+    data = tmp_path / "traj.csv"
+    write_noise_trajectory(data)
+    model_path = tmp_path / "model.json"
+    save_model_json(StateSpaceModel(a=1.1 * np.eye(3), b=np.ones((3, 1)), c=np.ones((1, 3))), model_path)
+    with pytest.raises(SystemExit, match="stores no basis"):
+        main(
+            [
+                "stabilize",
+                "--model",
+                str(model_path),
+                "--data",
+                str(data),
+                "--out",
+                str(tmp_path / "model_s.json"),
+            ]
+        )
 
 
 def test_identify_absolute_budget_mode(tmp_path):

@@ -1,5 +1,7 @@
 """Least-squares identification against closed-form and lstsq oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -177,15 +179,32 @@ def test_to_continuous_inverts_explicit_euler():
 
 def test_model_json_roundtrip_exact(tmp_path):
     model = random_system(41)
+    model.basis = np.linalg.qr(np.random.default_rng(42).standard_normal((9, 4)))[0]
+    model.underdetermined = True
     path = tmp_path / "model.json"
     save_model_json(model, path)
     back = load_model_json(path)
-    assert np.array_equal(back.a, model.a)
-    assert np.array_equal(back.b, model.b)
-    assert np.array_equal(back.c, model.c)
-    assert np.array_equal(back.d, model.d)
+    for name in ("a", "b", "c", "d", "basis"):
+        got, want = getattr(back, name), getattr(model, name)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    assert back.underdetermined is True
     assert back.time_domain == "discrete"
     assert back.step_width == model.step_width
+
+
+def test_model_json_without_basis_loads_as_before(tmp_path):
+    # files written before the basis and the flag were stored
+    model = random_system(43)
+    path = tmp_path / "model.json"
+    save_model_json(model, path)
+    doc = json.loads(path.read_text())
+    del doc["basis"], doc["underdetermined"]
+    path.write_text(json.dumps(doc))
+    back = load_model_json(path)
+    assert back.basis is None
+    assert back.underdetermined is False
+    assert np.array_equal(back.blocks(), model.blocks())
 
 
 def test_state_space_model_validation():

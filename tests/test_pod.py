@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iodmd import pod
 from iodmd.pod import pod_basis, pod_sweep
 
 
@@ -95,3 +96,81 @@ def test_minimality_property(seed, budget):
     if n > 1:
         # one fewer mode must violate the budget
         assert tails[n - 1] > threshold
+
+
+def graded_matrix(shape=(400, 401), seed=5):
+    # sigma_k = 10^(-k/8): the values fall below the machine-rank floor
+    # near k = 104, so the range finder stops well short of min(shape)/2
+    k = np.arange(min(shape))
+    return matrix_with_spectrum(10.0 ** (-k / 8.0), shape=shape, seed=seed)
+
+
+GRADED_BUDGETS = [10.0**-j for j in range(1, 13)]
+
+
+def test_range_finder_matches_the_dense_svd_on_a_graded_spectrum(monkeypatch):
+    x = graded_matrix()
+    u, s, _ = np.linalg.svd(x)
+    tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+    expected = [int(np.argmax(tails <= b)) for b in GRADED_BUDGETS]
+
+    def no_dense_svd(*args, **kwargs):
+        raise AssertionError("pod_sweep fell back to the dense SVD")
+
+    monkeypatch.setattr(pod, "truncated_svd", no_dense_svd)
+    bases = pod_sweep(x, GRADED_BUDGETS, mode="absolute")
+    assert [b.order for b in bases] == expected
+
+    finest = bases[-1]
+    n = finest.order
+    assert np.max(np.abs(finest.retained_singular_values - s[:n])) <= 1e-12 * s[0]
+    q = finest.modes
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
+    norm = np.linalg.norm(x)
+    for basis in bases:
+        q = basis.modes
+        err = np.linalg.norm(x - q @ (q.T @ x))
+        assert err <= basis.discarded_energy + 1e-12 * norm
+    # nested bases, and the modes span the dense singular subspaces
+    assert np.array_equal(bases[0].modes, finest.modes[:, : bases[0].order])
+    k = bases[0].order
+    cosines = np.linalg.svd(u[:, :k].T @ bases[0].modes, compute_uv=False)
+    assert np.min(cosines) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_range_finder_is_reproducible():
+    x = graded_matrix(seed=6)
+    first = pod_sweep(x, GRADED_BUDGETS[-1:])[0].modes
+    second = pod_sweep(x, GRADED_BUDGETS[-1:])[0].modes
+    assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(60, 50), (200, 150)])
+def test_full_rank_matrix_falls_back_to_the_dense_svd(shape):
+    # (60, 50): the first block already reaches min(shape)/2; (200, 150):
+    # the second block would
+    x = np.random.default_rng(8).standard_normal(shape)
+    for budget in (1e-1, 1e-3):
+        swept = pod_sweep(x, [budget])[0]
+        dense = pod_basis(x, budget)
+        assert np.array_equal(swept.modes, dense.modes)
+        assert np.array_equal(swept.retained_singular_values, dense.retained_singular_values)
+
+
+def test_sweep_checks_its_input_before_factoring(monkeypatch):
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("the snapshot matrix was factored")
+
+    monkeypatch.setattr(pod, "_range_finder_svd", no_factorization)
+    monkeypatch.setattr(pod, "truncated_svd", no_factorization)
+    x = graded_matrix()
+    with pytest.raises(ValueError, match="nonnegative"):
+        pod_sweep(x, [1e-2, -1e-3, 1e-4])
+    with pytest.raises(ValueError, match="nonnegative"):
+        pod_basis(x, -1e-3)
+    x[17, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        pod_sweep(x, [1e-2])
+    x[17, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        pod_sweep(x, [1e-2])
