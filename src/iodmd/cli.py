@@ -17,7 +17,7 @@ from .harness import EXCITATIONS, ExperimentConfig, run_experiment
 from .identify import fit_reduced_iodmd, load_model_json, save_model_json
 from .linalg import Tolerances, spectral_radius
 from .linalg import truncated_svd  # noqa: F401 - bench/tracing.py patches this name
-from .pod import pod_basis
+from .pod import check_budget, pod_basis
 from .snapshot import load_trajectory_csv, make_pairs, project_pairs
 from .stabilize import NotStabilizedError, StabilizeConfig, stabilize
 
@@ -50,6 +50,24 @@ def parse_budgets(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
+def _arg_type(parse):
+    """argparse type that turns the ValueError of ``parse`` into a usage
+    error, so a bad value stops the command before any file is read."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+# option values checked by the library's own validation
+_REG_EPS = _arg_type(lambda text: Tolerances(float(text)).svd_truncation_eps)
+_TAU = _arg_type(lambda text: StabilizeConfig(tau=float(text)).tau)
+
+
 def _add_run(subparsers) -> None:
     p = subparsers.add_parser(
         "run", help="sweep the transport benchmark and write CSV tables"
@@ -61,12 +79,13 @@ def _add_run(subparsers) -> None:
     )
     p.add_argument(
         "--budgets",
+        type=_arg_type(parse_budgets),
         default="1e-1..1e-8",
         help="comma list or decade range of projection-error budgets",
     )
     p.add_argument(
         "--reg-eps",
-        type=float,
+        type=_REG_EPS,
         default=0.0,
         help="absolute singular-value cutoff of the identification solve",
     )
@@ -81,7 +100,7 @@ def _add_run(subparsers) -> None:
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig(
         excitations=tuple(t.strip() for t in args.excitations.split(",") if t.strip()),
-        projection_budgets=parse_budgets(args.budgets),
+        projection_budgets=args.budgets,
         regularization_eps=args.reg_eps,
         stabilize=args.stabilize,
         seed=args.seed,
@@ -105,14 +124,19 @@ def _add_identify(subparsers) -> None:
         "identify", help="fit a reduced model from a trajectory CSV"
     )
     p.add_argument("--data", required=True, help="trajectory CSV (t,x*,u*,y* columns)")
-    p.add_argument("--budget", type=float, required=True, help="projection-error budget")
+    p.add_argument(
+        "--budget",
+        type=_arg_type(check_budget),
+        required=True,
+        help="projection-error budget",
+    )
     p.add_argument(
         "--budget-mode",
         choices=("relative", "absolute"),
         default="relative",
         help="interpret the budget relative to the snapshot norm or as-is",
     )
-    p.add_argument("--reg-eps", type=float, default=0.0)
+    p.add_argument("--reg-eps", type=_REG_EPS, default=0.0)
     p.add_argument("--out", required=True, help="path of the model JSON")
     p.set_defaults(func=_cmd_identify)
 
@@ -138,7 +162,7 @@ def _add_stabilize(subparsers) -> None:
     p.add_argument("--model", required=True, help="model JSON to repair")
     p.add_argument("--data", required=True, help="trajectory CSV the model was fit from")
     p.add_argument("--out", required=True, help="path of the repaired model JSON")
-    p.add_argument("--tau", type=float, default=0.0, help="stability margin in [0,1)")
+    p.add_argument("--tau", type=_TAU, default=0.0, help="stability margin in [0,1)")
     p.set_defaults(func=_cmd_stabilize)
 
 

@@ -2,16 +2,15 @@
 
 One experiment is a sweep over excitation variants and projection-error
 budgets: generate training data per excitation, build POD bases for all
-budgets from a single SVD, fit a reduced ioDMD model per budget, optionally
-stabilize unstable fits, and score every model by replaying the benchmark
-bell input against the full-order plant. Results land in a row list and,
-when an output directory is given, in plottable CSV tables.
+budgets from one range-finder factorization, fit a reduced ioDMD model per
+budget, optionally stabilize unstable fits, and score every model by
+replaying the benchmark bell input against the full-order plant. Results
+land in a row list and, when an output directory is given, in plottable
+CSV tables.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 import pathlib
 import time
 from dataclasses import dataclass, fields
@@ -122,17 +121,6 @@ class ExperimentRow:
     note: str = ""
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("IODMD_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"IODMD_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
 def _score(model: StateSpaceModel, u_hat: np.ndarray, y_ref: np.ndarray) -> float:
     """Relative output error of the model replaying the bell input.
 
@@ -230,8 +218,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     Training data and the POD spectrum are computed once per excitation and
     amortized evenly into the wall times of that excitation's rows. Rows are
     always returned in config order; when cfg.output_dir is set the CSV
-    tables are written as well. IODMD_THREADS > 1 sweeps excitations in
-    parallel threads (the heavy work is BLAS, which releases the GIL).
+    tables are written as well.
     """
     plant = build_transport_plant(cfg.transport_speed, cfg.dx)
     eval_cfg = SimConfig(dt=cfg.dt, horizon=cfg.horizon, input_timing="start")
@@ -258,13 +245,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
             for budget, basis in zip(cfg.projection_budgets, bases)
         ]
 
-    threads = _thread_count()
-    if threads > 1 and len(cfg.excitations) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(sweep_one, cfg.excitations))
-    else:
-        chunks = [sweep_one(tag) for tag in cfg.excitations]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for tag in cfg.excitations for row in sweep_one(tag)]
     if cfg.output_dir is not None:
         emit_tables(rows, cfg.output_dir)
     return rows

@@ -216,7 +216,7 @@ def fit_reduced_iodmd(
             f"basis has {q.shape[0]} rows, expected {pairs.n_states} states"
         )
     gram_defect = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
-    if gram_defect > max(tol.orthonormality_tol, 1e-12 * q.shape[0]):
+    if gram_defect > max(1e-8, 1e-12 * q.shape[0]):
         raise ValueError(f"basis columns not orthonormal (defect {gram_defect:.2e})")
     model = fit_iodmd(project_pairs(pairs, q), tol)
     model.basis = q

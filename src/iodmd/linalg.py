@@ -49,13 +49,10 @@ class Tolerances:
     """
 
     svd_truncation_eps: float = 0.0
-    orthonormality_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.svd_truncation_eps < 0:
             raise ValueError("svd_truncation_eps must be >= 0")
-        if self.orthonormality_tol < 0:
-            raise ValueError("orthonormality_tol must be >= 0")
 
 
 @dataclass
@@ -79,11 +76,10 @@ def _as_real_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def truncated_svd(m, eps: float, relative: bool = False) -> SvdResult:
-    """SVD of ``m`` keeping only singular values >= ``eps``.
+def truncated_svd(m, eps: float) -> SvdResult:
+    """SVD of ``m`` keeping only singular values >= ``eps`` (0 keeps all).
 
-    With ``relative=True`` the cutoff is ``eps * sigma_max`` instead of the
-    absolute threshold. Non-finite entries raise ValueError.
+    Non-finite entries raise ValueError.
     """
     a = _as_real_matrix(m)
     if eps < 0:
@@ -92,8 +88,7 @@ def truncated_svd(m, eps: float, relative: bool = False) -> SvdResult:
         raise ValueError("matrix contains non-finite entries")
 
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = eps * s[0] if (relative and s.size) else eps
-    keep = int(np.count_nonzero(s >= cutoff)) if cutoff > 0 else s.size
+    keep = int(np.count_nonzero(s >= eps)) if eps > 0 else s.size
     return SvdResult(
         left_vectors=u[:, :keep],
         singular_values=s[:keep],

@@ -54,15 +54,21 @@ def _dense_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return svd.left_vectors, svd.singular_values
 
 
-def _bases(x, error_budgets, mode: str, per_snapshot: bool, factor) -> list[PodBasis]:
+def check_budget(budget: float) -> float:
+    """``budget`` as a float, or ValueError when no basis can meet it."""
+    budget = float(budget)
+    if not budget >= 0.0:
+        raise ValueError("error budget must be nonnegative")
+    return budget
+
+
+def _bases(x, error_budgets, mode: str, factor) -> list[PodBasis]:
     """One basis per budget from the left singular vectors and values that
     ``factor(x)`` returns. Every argument is checked first, so that bad
     input fails before the factorization."""
-    error_budgets = list(error_budgets)
     if mode not in ("relative", "absolute"):
         raise ValueError(f"unknown mode {mode!r}")
-    if any(budget < 0 for budget in error_budgets):
-        raise ValueError("error budget must be nonnegative")
+    error_budgets = [check_budget(budget) for budget in error_budgets]
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"snapshot matrix must be 2-D, got shape {x.shape}")
@@ -76,9 +82,7 @@ def _bases(x, error_budgets, mode: str, per_snapshot: bool, factor) -> list[PodB
     tails = _tail_energies(s, max(x.shape))
     out = []
     for budget in error_budgets:
-        threshold = budget * norm if mode == "relative" else float(budget)
-        if per_snapshot:
-            threshold *= np.sqrt(x.shape[1])
+        threshold = budget * norm if mode == "relative" else budget
         # tails[n] is the energy discarded when keeping n modes
         n = int(np.argmax(tails <= threshold)) if tails[-1] <= threshold else s.size
         n = max(n, 1)
@@ -87,7 +91,7 @@ def _bases(x, error_budgets, mode: str, per_snapshot: bool, factor) -> list[PodB
                 modes=u[:, :n],
                 retained_singular_values=s[:n],
                 discarded_energy=float(tails[n]) if n < tails.size else 0.0,
-                requested_error=float(budget),
+                requested_error=budget,
             )
         )
     return out
@@ -129,32 +133,20 @@ def _range_finder_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _dense_svd(x)
 
 
-def pod_basis(
-    x,
-    error_budget: float,
-    mode: str = "relative",
-    per_snapshot: bool = False,
-) -> PodBasis:
+def pod_basis(x, error_budget: float, mode: str = "relative") -> PodBasis:
     """Smallest POD basis of the snapshot matrix ``x`` meeting the budget.
 
     ``mode='relative'`` scales the budget by the Frobenius norm of ``x``,
-    ``mode='absolute'`` uses it as-is. ``per_snapshot`` additionally divides
-    the tail energy by sqrt(#snapshots), reading the budget as a mean
-    per-snapshot error. At least one mode is always retained.
+    ``mode='absolute'`` uses it as-is. At least one mode is always retained.
 
     The modes are the leading left singular vectors of the dense LAPACK SVD
     (``np.linalg.svd``), column signs included, so anyone holding ``x`` can
     rebuild the basis a model from ``iodmd identify`` was fit on.
     """
-    return _bases(x, [error_budget], mode, per_snapshot, _dense_svd)[0]
+    return _bases(x, [error_budget], mode, _dense_svd)[0]
 
 
-def pod_sweep(
-    x,
-    error_budgets,
-    mode: str = "relative",
-    per_snapshot: bool = False,
-) -> list[PodBasis]:
+def pod_sweep(x, error_budgets, mode: str = "relative") -> list[PodBasis]:
     """Bases for several budgets, each read as in ``pod_basis``, from one
     factorization of the snapshot matrix.
 
@@ -164,4 +156,4 @@ def pod_sweep(
     differ from ``pod_basis``. Every budget is checked before ``x`` is
     factored.
     """
-    return _bases(x, error_budgets, mode, per_snapshot, _range_finder_svd)
+    return _bases(x, error_budgets, mode, _range_finder_svd)

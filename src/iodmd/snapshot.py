@@ -210,10 +210,21 @@ def load_trajectory_csv(path) -> TrajectoryData:
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 samples to recover the step width")
     t = data[:, 0]
+    step = float(t[1] - t[0])
+    # every sample must sit on the grid t0 + k*step; the slack absorbs a grid
+    # built by repeated addition, and a %.17g round trip is exact anyway
+    drift = np.abs(t - (t[0] + np.arange(t.size) * step))
+    off = np.flatnonzero(~(drift <= 1e-6 * step)) if step > 0.0 else [1]
+    if len(off):
+        k = int(off[0])
+        raise ValueError(
+            f"{path}: sample {k} (line {k + 2}) at t = {t[k]!r} breaks the "
+            f"uniform increasing time grid t = {t[0]!r} + k * {step!r}"
+        )
     return TrajectoryData(
         states=data[:, 1 : 1 + n].T,
         inputs=data[:, 1 + n : 1 + n + m].T if m else None,
         outputs=data[:, 1 + n + m :].T if q else None,
-        step_width=float(t[1] - t[0]),
+        step_width=step,
         label=path.stem,
     )

@@ -19,7 +19,7 @@ before the penalty weight is escalated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import json
 import pathlib
 
@@ -142,39 +142,32 @@ def _check_inputs(
 
 
 class _Objective:
-    """Smooth part f of the penalty together with its gradient."""
+    """Smooth part f(Z) = ||Z data - target||^2 of the penalty with its gradient.
+
+    data_fit regresses on the snapshot pairs; model_fit takes data = I and
+    target = Z0, where Z I - Z0 = Z - Z0 holds exactly.
+    """
 
     def __init__(self, mode: str, z0: np.ndarray, pairs: SnapshotPairs | None):
-        self.mode = mode
-        self.z0 = z0
         if mode == "data_fit":
             # _check_inputs matched the input and output rows to the model
             self.data = np.vstack([pairs.x0, pairs.u0])
             self.target = np.vstack([pairs.x1, pairs.y0])
         else:
-            self.data = None
-            self.target = None
+            self.data = np.eye(z0.shape[1])
+            self.target = z0
 
     def value(self, z: np.ndarray) -> float:
-        if self.mode == "data_fit":
-            resid = z @ self.data - self.target
-        else:
-            resid = z - self.z0
+        resid = z @ self.data - self.target
         return float(np.sum(resid * resid))
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        if self.mode == "data_fit":
-            return 2.0 * (z @ self.data - self.target) @ self.data.T
-        return 2.0 * (z - self.z0)
+        return 2.0 * (z @ self.data - self.target) @ self.data.T
 
     def along(self, z: np.ndarray, direction: np.ndarray) -> tuple[float, float, float]:
         """Coefficients (c0, c1, c2) of the quadratic t -> f(z + t*direction)."""
-        if self.mode == "data_fit":
-            r0 = z @ self.data - self.target
-            rd = direction @ self.data
-        else:
-            r0 = z - self.z0
-            rd = direction
+        r0 = z @ self.data - self.target
+        rd = direction @ self.data
         c0 = float(np.sum(r0 * r0))
         c1 = 2.0 * float(np.sum(r0 * rd))
         c2 = float(np.sum(rd * rd))
@@ -668,12 +661,4 @@ def _relative_change(z: np.ndarray, z0: np.ndarray, z0_norm: float) -> float:
 
 
 def save_report_json(report: StabilizeReport, path: str | pathlib.Path) -> None:
-    payload = {
-        "iterations_total": report.iterations_total,
-        "iterations_to_first_stable": report.iterations_to_first_stable,
-        "final_objective_ratio": report.final_objective_ratio,
-        "final_spectral_radius": report.final_spectral_radius,
-        "relative_model_change": report.relative_model_change,
-        "converged": report.converged,
-    }
-    pathlib.Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    pathlib.Path(path).write_text(json.dumps(asdict(report), indent=1) + "\n")

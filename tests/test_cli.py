@@ -223,3 +223,31 @@ def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
     )
     assert code == 0
     assert configs == [StabilizeConfig(tau=0.1)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stabilize", "--model", "{missing}", "--data", "{missing}",
+          "--out", "{out}", "--tau", "1.5"], "tau must lie in [0, 1)"),
+        (["identify", "--data", "{missing}", "--budget", "-0.1",
+          "--out", "{out}"], "error budget must be nonnegative"),
+        (["run", "--budgets", "3e-1..1e-4", "--out", "{out}"],
+         "range endpoints must be powers of ten"),
+        (["run", "--budgets", "1e-1,x", "--out", "{out}"],
+         "could not convert string to float"),
+    ],
+)
+def test_bad_values_are_usage_errors_before_any_file_is_touched(
+    tmp_path, capsys, argv, message
+):
+    missing = tmp_path / "missing"
+    out = tmp_path / "out"
+    argv = [a.format(missing=missing, out=out) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"iodmd {argv[0]}: error: argument" in err
+    assert message in err
+    assert not out.exists()

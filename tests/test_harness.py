@@ -1,7 +1,4 @@
-"""Sweep driver: config contracts, table layout, parallel/serial agreement."""
-
-import dataclasses
-import math
+"""Sweep driver: config contracts and table layout."""
 
 import numpy as np
 import pytest
@@ -10,7 +7,6 @@ from iodmd.harness import (
     EXCITATIONS,
     ExperimentConfig,
     ExperimentRow,
-    _thread_count,
     emit_tables,
     run_experiment,
 )
@@ -160,37 +156,6 @@ def test_run_writes_tables_when_output_dir_set(tmp_path):
     run_experiment(cfg)
     assert (tmp_path / "errors.csv").exists()
     assert (tmp_path / "rows.csv").exists()
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("IODMD_THREADS", raising=False)
-    assert _thread_count() == 1
-    monkeypatch.setenv("IODMD_THREADS", "4")
-    assert _thread_count() == 4
-    monkeypatch.setenv("IODMD_THREADS", "0")
-    assert _thread_count() == 1
-    monkeypatch.setenv("IODMD_THREADS", "two")
-    with pytest.raises(ValueError):
-        _thread_count()
-
-
-def test_parallel_sweep_matches_serial(monkeypatch):
-    cfg = ExperimentConfig(
-        excitations=("target", "ce_shifted"), projection_budgets=(1e-1, 1e-2)
-    )
-    monkeypatch.delenv("IODMD_THREADS", raising=False)
-    serial = run_experiment(cfg)
-    monkeypatch.setenv("IODMD_THREADS", "2")
-    parallel = run_experiment(cfg)
-    for a, b in zip(serial, parallel):
-        da, db = dataclasses.asdict(a), dataclasses.asdict(b)
-        da.pop("wall_time_s"), db.pop("wall_time_s")
-        for key, va in da.items():
-            vb = db[key]
-            if isinstance(va, float) and math.isnan(va):
-                assert math.isnan(vb)
-            else:
-                assert va == vb, key
 
 
 def test_ce_shifted_orders_grow_with_tighter_budgets():

@@ -46,12 +46,6 @@ def test_truncated_svd_cutoff_is_inclusive():
     assert np.array_equal(svd.singular_values, [3.0, 2.0])
 
 
-def test_truncated_svd_relative_cutoff():
-    m = np.diag([4.0, 2.0, 0.5])
-    svd = truncated_svd(m, eps=0.2, relative=True)  # cutoff 0.8
-    assert svd.rank == 2
-
-
 def test_truncated_svd_rejects_bad_input():
     with pytest.raises(ValueError):
         truncated_svd(np.array([[np.nan, 0.0]]), eps=0.0)
@@ -171,8 +165,6 @@ def test_tolerances_validation():
     assert Tolerances().svd_truncation_eps == 0.0
     with pytest.raises(ValueError):
         Tolerances(svd_truncation_eps=-1e-3)
-    with pytest.raises(ValueError):
-        Tolerances(orthonormality_tol=-1.0)
 
 
 @given(st.integers(0, 10_000))

@@ -34,13 +34,6 @@ def test_relative_budget_scales_by_frobenius_norm():
     assert pod_basis(x, 0.5 / norm).order == 3  # relative is the default mode
 
 
-def test_per_snapshot_budget_multiplies_by_sample_count():
-    x = matrix_with_spectrum([3.0, 2.0, 1.0])  # 5 snapshots
-    # threshold becomes 1.05 * sqrt(5) = 2.35 > sqrt(5) tail
-    basis = pod_basis(x, 1.05, mode="absolute", per_snapshot=True)
-    assert basis.order == 1
-
-
 def test_basis_bookkeeping_fields():
     x = matrix_with_spectrum([3.0, 2.0, 1.0])
     basis = pod_basis(x, 2.2, mode="absolute")
@@ -168,6 +161,8 @@ def test_sweep_checks_its_input_before_factoring(monkeypatch):
         pod_sweep(x, [1e-2, -1e-3, 1e-4])
     with pytest.raises(ValueError, match="nonnegative"):
         pod_basis(x, -1e-3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pod_basis(x, float("nan"))
     x[17, 3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         pod_sweep(x, [1e-2])

@@ -119,3 +119,35 @@ def test_csv_roundtrip_property(seed, n_states, n_samples, tmp_path_factory):
     assert np.array_equal(back.inputs, traj.inputs)
     assert np.array_equal(back.outputs, traj.outputs)
     assert back.step_width == pytest.approx(traj.step_width, rel=1e-12)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0 / 3.0, 0.7])
+def test_long_uniform_time_grid_loads(tmp_path, dt):
+    n = 20_001
+    traj = TrajectoryData(states=np.ones((1, n)), step_width=dt)
+    path = tmp_path / "long.csv"
+    save_trajectory_csv(traj, path)
+    back = load_trajectory_csv(path)
+    assert back.step_width == dt
+    assert np.array_equal(back.times, traj.times)
+
+
+@pytest.mark.parametrize("sample, shift", [(17, 0.25), (39, -0.5), (1, -1.0), (5, -3.0)])
+def test_load_trajectory_rejects_a_shifted_time_row(tmp_path, sample, shift):
+    # one time entry of a 40-sample trajectory moves off the grid (or back
+    # in time); the loader names the first sample that does not fit
+    rng = np.random.default_rng(3)
+    traj = TrajectoryData(
+        states=rng.standard_normal((2, 40)),
+        inputs=rng.standard_normal((1, 40)),
+        step_width=1e-3,
+    )
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(traj, path)
+    lines = path.read_text().splitlines()
+    fields = lines[sample + 1].split(",")
+    fields[0] = "%.17g" % (float(fields[0]) + shift * 1e-3)
+    lines[sample + 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"sample {sample} \(line {sample + 2}\)"):
+        load_trajectory_csv(path)

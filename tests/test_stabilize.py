@@ -168,8 +168,7 @@ def test_report_json_roundtrip(tmp_path):
     )
     path = tmp_path / "report.json"
     save_report_json(report, path)
-    doc = json.loads(path.read_text())
-    assert doc == {
+    expected = {
         "iterations_total": 7,
         "iterations_to_first_stable": 3,
         "final_objective_ratio": 1.25,
@@ -177,6 +176,9 @@ def test_report_json_roundtrip(tmp_path):
         "relative_model_change": 0.01,
         "converged": True,
     }
+    assert json.loads(path.read_text()) == expected
+    # the field order of the report is the key order of the file
+    assert path.read_text() == json.dumps(expected, indent=1) + "\n"
 
 
 @given(st.integers(0, 10_000))
