@@ -66,6 +66,16 @@ def _arg_type(parse):
 # option values checked by the library's own validation
 _REG_EPS = _arg_type(lambda text: Tolerances(float(text)).svd_truncation_eps)
 _TAU = _arg_type(lambda text: StabilizeConfig(tau=float(text)).tau)
+_EXCITATIONS = _arg_type(
+    lambda text: ExperimentConfig(
+        excitations=tuple(t.strip() for t in text.split(",") if t.strip())
+    ).excitations
+)
+_BUDGETS = _arg_type(
+    lambda text: ExperimentConfig(
+        projection_budgets=parse_budgets(text)
+    ).projection_budgets
+)
 
 
 def _add_run(subparsers) -> None:
@@ -74,12 +84,13 @@ def _add_run(subparsers) -> None:
     )
     p.add_argument(
         "--excitations",
+        type=_EXCITATIONS,
         default=",".join(EXCITATIONS),
         help=f"comma list from {{{','.join(EXCITATIONS)}}} (default: all)",
     )
     p.add_argument(
         "--budgets",
-        type=_arg_type(parse_budgets),
+        type=_BUDGETS,
         default="1e-1..1e-8",
         help="comma list or decade range of projection-error budgets",
     )
@@ -99,7 +110,7 @@ def _add_run(subparsers) -> None:
 
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig(
-        excitations=tuple(t.strip() for t in args.excitations.split(",") if t.strip()),
+        excitations=args.excitations,
         projection_budgets=args.budgets,
         regularization_eps=args.reg_eps,
         stabilize=args.stabilize,

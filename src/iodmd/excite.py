@@ -35,21 +35,20 @@ _ALL_KINDS = PE_KINDS + CE_KINDS + ("target_input",)
 
 @dataclass
 class ExcitationSpec:
-    """What signal to generate, with a seed for the random variants."""
+    """Which unit-scale signal to generate; seed drives the random variants."""
 
     kind: str
     seed: int = 0
-    amplitude: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in _ALL_KINDS:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
 
 
-def target_input(times, amplitude: float = 1.0) -> np.ndarray:
+def target_input(times) -> np.ndarray:
     """The benchmark's reference input: a wide Gaussian bell centered at t=0.1."""
     t = np.asarray(times, dtype=float)
-    return amplitude * np.exp(-((t - 0.1) ** 2) / 1000.0)
+    return np.exp(-((t - 0.1) ** 2) / 1000.0)
 
 
 def excite_pe(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
@@ -60,12 +59,10 @@ def excite_pe(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> Trajec
     shape = (plant.n_inputs, cfg.n_steps + 1)
     if spec.kind == "pe_gaussian_noise":
         rng = np.random.default_rng(spec.seed)
-        u = spec.amplitude * rng.standard_normal(shape)
+        u = rng.standard_normal(shape)
     else:
-        u = np.full(shape, float(spec.amplitude))
-    traj = simulate_continuous(plant, u, None, cfg)
-    traj.label = spec.kind
-    return traj
+        u = np.ones(shape)
+    return simulate_continuous(plant, u, None, cfg)
 
 
 def excite_ce(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
@@ -85,17 +82,15 @@ def excite_ce(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> Trajec
         )
     if spec.kind == "ce_gaussian_init":
         rng = np.random.default_rng(spec.seed)
-        x0 = spec.amplitude * rng.standard_normal(plant.n_states)
+        x0 = rng.standard_normal(plant.n_states)
     else:
-        x0 = np.full(plant.n_states, float(spec.amplitude))
+        x0 = np.ones(plant.n_states)
     # Stage two replays the recorded outputs with zero-order-hold timing, so
     # sample u_k drives transition k -> k+1 and the stacked snapshot/input
     # pairs satisfy the implicit-Euler stencil exactly.
     cfg = SimConfig(dt=dt, horizon=T, input_timing="start")
     stage1 = simulate_continuous(plant, None, x0, cfg)
-    stage2 = simulate_continuous(plant, stage1.outputs, None, cfg)
-    stage2.label = spec.kind
-    return stage2
+    return simulate_continuous(plant, stage1.outputs, None, cfg)
 
 
 def excite_target(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
@@ -104,10 +99,8 @@ def excite_target(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> Tr
         raise ValueError(f"excite_target cannot generate kind {spec.kind!r}")
     cfg = SimConfig(dt=dt, horizon=T)
     times = np.arange(cfg.n_steps + 1) * dt
-    u = np.tile(target_input(times, spec.amplitude), (plant.n_inputs, 1))
-    traj = simulate_continuous(plant, u, None, cfg)
-    traj.label = spec.kind
-    return traj
+    u = np.tile(target_input(times), (plant.n_inputs, 1))
+    return simulate_continuous(plant, u, None, cfg)
 
 
 def generate_excitation(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pathlib
 import time
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,11 +54,13 @@ _DEFAULT_BUDGETS = tuple(10.0**-k for k in range(1, 9))
 
 @dataclass
 class ExperimentConfig:
-    """Sweep layout plus the benchmark plant parameters.
+    """Sweep layout over the fixed benchmark plant.
 
     Projection budgets are absolute Frobenius tail-energy levels and must be
     strictly decreasing. regularization_eps is the absolute singular-value
-    cutoff of the identification solve (0 keeps everything).
+    cutoff of the identification solve (0 keeps everything). The plant and
+    its time grid are class constants, readable on every instance: upwind
+    transport at speed 1.3 on 1000 cells, step 1e-3 over a 1 s horizon.
     """
 
     excitations: tuple[str, ...] = tuple(EXCITATIONS)
@@ -66,10 +69,10 @@ class ExperimentConfig:
     stabilize: bool = False
     seed: int = 42
     output_dir: str | pathlib.Path | None = None
-    transport_speed: float = 1.3
-    dx: float = 1e-3
-    dt: float = 1e-3
-    horizon: float = 1.0
+    transport_speed: ClassVar[float] = 1.3
+    dx: ClassVar[float] = 1e-3
+    dt: ClassVar[float] = 1e-3
+    horizon: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
         self.excitations = tuple(self.excitations)
@@ -85,14 +88,14 @@ class ExperimentConfig:
         self.projection_budgets = tuple(float(b) for b in self.projection_budgets)
         if not self.projection_budgets:
             raise ValueError("need at least one projection budget")
-        if any(b <= 0.0 for b in self.projection_budgets):
+        if any(not b > 0.0 for b in self.projection_budgets):
             raise ValueError("projection budgets must be positive")
         if any(
             b1 <= b2
             for b1, b2 in zip(self.projection_budgets, self.projection_budgets[1:])
         ):
             raise ValueError("projection budgets must be strictly decreasing")
-        if self.regularization_eps < 0.0:
+        if not self.regularization_eps >= 0.0:
             raise ValueError("regularization_eps must be >= 0")
 
 

@@ -162,14 +162,9 @@ def fit_dmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
             "retained singular values include exact zeros; raise svd_truncation_eps"
         )
     a = svd.left_vectors.T @ pairs.x1 @ svd.right_vectors / svd.singular_values
-    return StateSpaceModel(
-        a=a,
-        b=np.zeros((svd.rank, 0)),
-        c=np.zeros((0, svd.rank)),
-        d=np.zeros((0, 0)),
-        step_width=pairs.step_width if pairs.step_width is not None else 1.0,
-        basis=svd.left_vectors,
-    )
+    model = _split_blocks(a, svd.rank, pairs, underdetermined=False)
+    model.basis = svd.left_vectors
+    return model
 
 
 def fit_dmdc(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
@@ -177,16 +172,8 @@ def fit_dmdc(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
     if pairs.n_inputs == 0:
         raise ValueError("fit_dmdc needs input snapshots; use fit_dmd instead")
     data, _ = _stacked_data(pairs)
-    g, rank = pinv_apply(data, tol.svd_truncation_eps, pairs.x1, return_rank=True)
-    n = pairs.n_states
-    return StateSpaceModel(
-        a=g[:, :n],
-        b=g[:, n:],
-        c=np.zeros((0, n)),
-        d=np.zeros((0, pairs.n_inputs)),
-        step_width=pairs.step_width if pairs.step_width is not None else 1.0,
-        underdetermined=rank < data.shape[0],
-    )
+    g, rank = pinv_apply(data, tol.svd_truncation_eps, pairs.x1)
+    return _split_blocks(g, pairs.n_states, pairs, underdetermined=rank < data.shape[0])
 
 
 def fit_iodmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
@@ -196,7 +183,7 @@ def fit_iodmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
     if pairs.n_outputs == 0:
         raise ValueError("fit_iodmd needs output snapshots")
     data, target = _stacked_data(pairs)
-    g, rank = pinv_apply(data, tol.svd_truncation_eps, target, return_rank=True)
+    g, rank = pinv_apply(data, tol.svd_truncation_eps, target)
     return _split_blocks(g, pairs.n_states, pairs, underdetermined=rank < data.shape[0])
 
 

@@ -51,7 +51,7 @@ class Tolerances:
     svd_truncation_eps: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.svd_truncation_eps < 0:
+        if not self.svd_truncation_eps >= 0.0:
             raise ValueError("svd_truncation_eps must be >= 0")
 
 
@@ -82,7 +82,7 @@ def truncated_svd(m, eps: float) -> SvdResult:
     Non-finite entries raise ValueError.
     """
     a = _as_real_matrix(m)
-    if eps < 0:
+    if not eps >= 0.0:
         raise ValueError("eps must be >= 0")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
@@ -111,14 +111,14 @@ def machine_rank(singular_values: np.ndarray, dim_max: int) -> int:
     return int(np.count_nonzero(s > floor))
 
 
-def pinv_apply(m, eps: float, rhs, return_rank: bool = False):
-    """Return ``rhs @ pinv(m)`` using the eps-truncated SVD pseudoinverse.
+def pinv_apply(m, eps: float, rhs) -> tuple[np.ndarray, int]:
+    """Return ``(rhs @ pinv(m), rank)`` by the eps-truncated SVD pseudoinverse.
 
-    ``m`` is N x K and ``rhs`` is P x K; the result is P x N. For eps = 0
-    this is the minimum-Frobenius-norm least-squares solution G of
+    ``m`` is N x K and ``rhs`` is P x K; the solution is P x N and ``rank``
+    counts the singular values that were inverted. For eps = 0 the solution
+    is the minimum-Frobenius-norm least-squares solution G of
     ``G @ m ~ rhs``; singular values at machine-zero level are never
-    inverted. With ``return_rank`` the number of inverted singular values
-    is returned alongside the solution.
+    inverted.
     """
     a = _as_real_matrix(m, "m")
     b = _as_real_matrix(rhs, "rhs")
@@ -136,7 +136,7 @@ def pinv_apply(m, eps: float, rhs, return_rank: bool = False):
         v = svd.right_vectors[:, :rank]
         # rhs @ V @ diag(1/s) @ U^T, evaluated left to right
         out = (b @ v) / s @ u.T
-    return (out, rank) if return_rank else out
+    return out, rank
 
 
 def spectral_radius(a) -> float:

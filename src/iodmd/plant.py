@@ -28,13 +28,11 @@ __all__ = [
 
 @dataclass
 class Plant:
-    """Continuous-time system matrices plus optional transport metadata."""
+    """Continuous-time system matrices."""
 
     a_matrix: np.ndarray
     b_matrix: np.ndarray
     c_matrix: np.ndarray
-    transport_speed: float | None = None
-    grid_size: int | None = None
 
     def __post_init__(self) -> None:
         self.a_matrix = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
@@ -118,7 +116,7 @@ def build_transport_plant(speed: float, dx: float) -> Plant:
     b[0, 0] = rate
     c = np.zeros((1, n))
     c[0, -1] = 1.0
-    return Plant(a_matrix=a, b_matrix=b, c_matrix=c, transport_speed=speed, grid_size=n)
+    return Plant(a_matrix=a, b_matrix=b, c_matrix=c)
 
 
 def _input_samples(u, m: int, n_samples: int) -> np.ndarray:
@@ -162,9 +160,7 @@ def simulate_continuous(plant: Plant, u, x0, cfg: SimConfig) -> TrajectoryData:
         rhs = x[:, k] + cfg.dt * (bmat @ u_arr[:, k + shift])
         x[:, k + 1] = lu.solve(rhs)
     y = plant.c_matrix @ x
-    return TrajectoryData(
-        states=x, inputs=u_arr, outputs=y, step_width=cfg.dt, label="plant"
-    )
+    return TrajectoryData(states=x, inputs=u_arr, outputs=y, step_width=cfg.dt)
 
 
 def simulate_discrete(model, u, x0=None) -> TrajectoryData:
@@ -205,7 +201,6 @@ def simulate_discrete(model, u, x0=None) -> TrajectoryData:
         inputs=u_arr,
         outputs=y,
         step_width=model.step_width if model.step_width is not None else 1.0,
-        label="model",
     )
 
 

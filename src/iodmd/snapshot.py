@@ -51,7 +51,6 @@ class TrajectoryData:
     inputs: np.ndarray | None = None
     outputs: np.ndarray | None = None
     step_width: float = 1.0
-    label: str = ""
 
     def __post_init__(self) -> None:
         self.states = np.asarray(self.states, dtype=float)
@@ -173,18 +172,23 @@ def project_pairs(pairs: SnapshotPairs, q: np.ndarray) -> SnapshotPairs:
 _FLOAT_FMT = "%.17g"
 
 
+def _column_names(n: int, m: int, q: int) -> list[str]:
+    return (
+        ["t"]
+        + [f"x{i + 1}" for i in range(n)]
+        + [f"u{i + 1}" for i in range(m)]
+        + [f"y{i + 1}" for i in range(q)]
+    )
+
+
 def save_trajectory_csv(traj: TrajectoryData, path) -> None:
     """Write a trajectory as CSV with header ``t,x1..xN,u1..uM,y1..yQ``."""
-    path = Path(path)
-    names = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(traj.states.shape[0])]
-        + [f"u{i + 1}" for i in range(traj.inputs.shape[0])]
-        + [f"y{i + 1}" for i in range(traj.outputs.shape[0])]
+    names = _column_names(
+        traj.states.shape[0], traj.inputs.shape[0], traj.outputs.shape[0]
     )
     table = np.vstack([traj.times, traj.states, traj.inputs, traj.outputs]).T
     np.savetxt(
-        path,
+        Path(path),
         table,
         fmt=_FLOAT_FMT,
         delimiter=",",
@@ -194,19 +198,25 @@ def save_trajectory_csv(traj: TrajectoryData, path) -> None:
 
 
 def load_trajectory_csv(path) -> TrajectoryData:
-    """Read a trajectory written by :func:`save_trajectory_csv`."""
+    """Read a trajectory written by :func:`save_trajectory_csv`.
+
+    The header must be exactly ``t,x1..xN,u1..uM,y1..yQ`` in that order.
+    """
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().strip()
         names = header.split(",")
-        if not names or names[0] != "t":
-            raise ValueError(f"{path}: expected a 't' column first, got {header!r}")
+        n, m, q = (sum(1 for c in names if c.startswith(p)) for p in "xuy")
+        if names != _column_names(n, m, q):
+            raise ValueError(
+                f"{path}: header {header!r} is not t,x1..xN,u1..uM,y1..yQ"
+            )
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    n = sum(1 for c in names if c.startswith("x"))
-    m = sum(1 for c in names if c.startswith("u"))
-    q = sum(1 for c in names if c.startswith("y"))
-    if 1 + n + m + q != len(names):
-        raise ValueError(f"{path}: unrecognized columns in header {header!r}")
+    if data.shape[1] != len(names):
+        raise ValueError(
+            f"{path}: rows have {data.shape[1]} values, header {header!r} "
+            f"names {len(names)}"
+        )
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 samples to recover the step width")
     t = data[:, 0]
@@ -226,5 +236,4 @@ def load_trajectory_csv(path) -> TrajectoryData:
         inputs=data[:, 1 + n : 1 + n + m].T if m else None,
         outputs=data[:, 1 + n + m :].T if q else None,
         step_width=step,
-        label=path.stem,
     )

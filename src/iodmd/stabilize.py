@@ -5,11 +5,13 @@ Unstable fits are repaired by minimizing an exact penalty function
     phi(Z) = f(Z) + mu * max(0, rho(A(Z)) - (1 - tau))
 
 over the stacked system matrix Z = [A B; C D] with limited-memory BFGS,
-which keeps the 30 most recent secant pairs.  The data-fit objective keeps
-the repaired model close to the regression data it was identified from; the
-model-fit objective keeps it close to the unstable model itself.  The
-spectral radius is nonsmooth, so the line search only requires weak Wolfe
-conditions and secant pairs violating the curvature guard are dropped.
+which keeps the 30 most recent secant pairs.  The smooth part f(Z) =
+||Z [x0; u0] - [x1; y0]||^2 keeps the repaired model close to the snapshot
+pairs it is given.  Pairs built from the unstable model itself, x0 = [I 0],
+u0 = [0 I], x1 = [A B] and y0 = [C D], make f the distance ||Z - Z0||^2 to
+that model: the closest-stable-model problem.  The spectral radius is
+nonsmooth, so the line search only requires weak Wolfe conditions and
+secant pairs violating the curvature guard are dropped.
 Eigenvalue-modulus ties, where the single-eigenvalue subgradient stops
 giving descent, are escaped with a min-norm direction over the active
 eigenvalue gradients; if that also fails, a direction that contracts the
@@ -26,7 +28,7 @@ import pathlib
 import numpy as np
 import scipy.linalg
 
-from .identify import StateSpaceModel
+from .identify import StateSpaceModel, _stacked_data
 from .linalg import spectral_radius, spectral_radius_gradient
 from .snapshot import SnapshotPairs
 
@@ -37,8 +39,6 @@ __all__ = [
     "stabilize",
     "save_report_json",
 ]
-
-_MODES = ("data_fit", "model_fit")
 
 # rho must clear the boundary by this margin before an iterate counts as
 # feasible; guards against returning a model that is stable only in exact
@@ -67,6 +67,9 @@ _INITIAL_PENALTY = 1.0
 # secant pairs kept by the limited-memory BFGS inverse Hessian
 _MEMORY = 30
 
+# step trials of one weak Wolfe search before it falls back to backtracking
+_MAX_BISECTIONS = 25
+
 # A blocks whose spectral radius and radius gradient one solve keeps; the
 # trial points that recur lie a few evaluations apart
 _MEMO_SIZE = 64
@@ -77,18 +80,13 @@ class StabilizeConfig:
     """Settings for the exact-penalty stabilization solve.
 
     tau is the stability margin: the repaired model has rho(A) < 1 - tau.
-    mode "data_fit" keeps the repaired model close to the snapshot pairs it
-    was identified from, "model_fit" close to the unstable model itself.
     """
 
     tau: float = 0.0
-    mode: str = "data_fit"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau < 1.0:
             raise ValueError("tau must lie in [0, 1)")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
 
 
 @dataclass
@@ -116,46 +114,35 @@ class NotStabilizedError(RuntimeError):
         self.report = report
 
 
-def _check_inputs(
-    model: StateSpaceModel, pairs: SnapshotPairs | None, config: StabilizeConfig
-) -> None:
+def _check_inputs(model: StateSpaceModel, pairs: SnapshotPairs) -> None:
     if model.time_domain != "discrete":
         raise ValueError("stabilization operates on discrete-time models")
-    if config.mode == "data_fit":
-        if pairs is None:
-            raise ValueError("data_fit mode requires snapshot pairs")
-        if pairs.n_states != model.order:
-            raise ValueError(
-                f"snapshot state dimension {pairs.n_states} does not match "
-                f"model order {model.order}"
-            )
-        if pairs.u0.shape[0] != model.n_inputs:
-            raise ValueError(
-                f"input dimension {pairs.u0.shape[0]} does not match model "
-                f"inputs {model.n_inputs}"
-            )
-        if pairs.y0.shape[0] != model.n_outputs:
-            raise ValueError(
-                f"output dimension {pairs.y0.shape[0]} does not match model "
-                f"outputs {model.n_outputs}"
-            )
+    if pairs.n_states != model.order:
+        raise ValueError(
+            f"snapshot state dimension {pairs.n_states} does not match "
+            f"model order {model.order}"
+        )
+    if pairs.n_inputs != model.n_inputs:
+        raise ValueError(
+            f"input dimension {pairs.n_inputs} does not match model "
+            f"inputs {model.n_inputs}"
+        )
+    if pairs.n_outputs != model.n_outputs:
+        raise ValueError(
+            f"output dimension {pairs.n_outputs} does not match model "
+            f"outputs {model.n_outputs}"
+        )
 
 
 class _Objective:
     """Smooth part f(Z) = ||Z data - target||^2 of the penalty with its gradient.
 
-    data_fit regresses on the snapshot pairs; model_fit takes data = I and
-    target = Z0, where Z I - Z0 = Z - Z0 holds exactly.
+    data = [x0; u0] and target = [x1; y0] come from the snapshot pairs,
+    whose input and output rows _check_inputs matched to the model.
     """
 
-    def __init__(self, mode: str, z0: np.ndarray, pairs: SnapshotPairs | None):
-        if mode == "data_fit":
-            # _check_inputs matched the input and output rows to the model
-            self.data = np.vstack([pairs.x0, pairs.u0])
-            self.target = np.vstack([pairs.x1, pairs.y0])
-        else:
-            self.data = np.eye(z0.shape[1])
-            self.target = z0
+    def __init__(self, pairs: SnapshotPairs):
+        self.data, self.target = _stacked_data(pairs)
 
     def value(self, z: np.ndarray) -> float:
         resid = z @ self.data - self.target
@@ -332,7 +319,7 @@ class _InverseHessian:
         return q
 
 
-def _line_search(phi, slope_at, phi0, slope0, max_bisections=25):
+def _line_search(phi, slope_at, phi0, slope0):
     """Weak Wolfe search (Armijo + weak curvature) by expansion/bisection.
 
     Returns (t, phi_t, ok).  Nonsmooth kinks can defeat both Wolfe
@@ -343,7 +330,7 @@ def _line_search(phi, slope_at, phi0, slope0, max_bisections=25):
     lo, hi = 0.0, np.inf
     t = 1.0
     armijo_t, armijo_phi = None, None
-    for _ in range(max_bisections):
+    for _ in range(_MAX_BISECTIONS):
         phi_t = phi(t)
         if not np.isfinite(phi_t) or phi_t > phi0 + c1 * t * slope0:
             hi = t
@@ -372,17 +359,19 @@ def _line_search(phi, slope_at, phi0, slope0, max_bisections=25):
 
 def stabilize(
     model: StateSpaceModel,
-    pairs: SnapshotPairs | None = None,
+    pairs: SnapshotPairs,
     config: StabilizeConfig | None = None,
 ) -> tuple[StateSpaceModel, StabilizeReport]:
     """Shift the spectral radius of a discrete model below 1 - tau.
 
-    Returns the repaired model and a report.  The returned model always
-    satisfies rho(A) < 1 - tau; if no acceptable iterate is ever found,
-    NotStabilizedError is raised with the closest attempt attached.
+    The repair stays close to ``pairs`` in the least-squares sense; the
+    identity pairs of the module docstring keep it close to the model
+    itself.  Returns the repaired model and a report.  The returned model
+    always satisfies rho(A) < 1 - tau; if no acceptable iterate is ever
+    found, NotStabilizedError is raised with the closest attempt attached.
     """
     config = StabilizeConfig() if config is None else config
-    _check_inputs(model, pairs, config)
+    _check_inputs(model, pairs)
 
     order = model.order
     z0 = model.blocks()
@@ -412,7 +401,7 @@ def stabilize(
         )
         return wrap(z0), report
 
-    objective = _Objective(config.mode, z0, pairs)
+    objective = _Objective(pairs)
     f0 = objective.value(z0)
     budget = _OBJECTIVE_BUDGET_FACTOR * f0
     z0_norm = float(np.linalg.norm(z0))

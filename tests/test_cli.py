@@ -236,6 +236,18 @@ def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
          "range endpoints must be powers of ten"),
         (["run", "--budgets", "1e-1,x", "--out", "{out}"],
          "could not convert string to float"),
+        (["run", "--budgets", "1e-3,1e-1", "--out", "{out}"],
+         "projection budgets must be strictly decreasing"),
+        (["run", "--budgets", "nan", "--out", "{out}"],
+         "projection budgets must be positive"),
+        (["run", "--excitations", "chirp", "--out", "{out}"],
+         "unknown excitation tags ['chirp']"),
+        (["run", "--excitations", "target,target", "--out", "{out}"],
+         "duplicate excitation tags"),
+        (["run", "--reg-eps", "nan", "--out", "{out}"],
+         "svd_truncation_eps must be >= 0"),
+        (["identify", "--data", "{missing}", "--budget", "0.1",
+          "--reg-eps", "nan", "--out", "{out}"], "svd_truncation_eps must be >= 0"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_file_is_touched(

@@ -29,7 +29,6 @@ def test_target_input_is_a_wide_bell():
     assert u[1] == pytest.approx(np.exp(-0.01 / 1000.0))
     assert u[2] == pytest.approx(np.exp(-0.81 / 1000.0))
     assert np.all(u > 0.999)  # essentially flat over the horizon
-    assert np.array_equal(target_input(t, amplitude=2.0), 2.0 * u)
 
 
 def test_excitation_spec_rejects_unknown_kind():
@@ -48,9 +47,9 @@ def test_pe_noise_is_seed_reproducible(plant):
 
 
 def test_pe_step_holds_constant_amplitude(plant):
-    traj = excite_pe(plant, ExcitationSpec(kind="pe_step", amplitude=2.5), T=0.2, dt=0.01)
-    assert np.all(traj.inputs == 2.5)
-    assert traj.label == "pe_step"
+    traj = excite_pe(plant, ExcitationSpec(kind="pe_step"), T=0.2, dt=0.01)
+    assert traj.inputs.shape == (1, 21)
+    assert np.all(traj.inputs == 1.0)
 
 
 def test_pe_starts_from_rest(plant):
@@ -85,7 +84,6 @@ def test_ce_replays_stage_one_output(plant):
     assert np.array_equal(traj.states[:, 0], np.zeros(plant.n_states))
     assert traj.inputs.shape == (1, 21)
     assert np.any(traj.inputs != 0.0)
-    assert traj.label == "ce_shifted_init"
 
 
 def test_ce_random_init_is_seed_reproducible(plant):
@@ -109,7 +107,18 @@ def test_excite_target_uses_the_bell(plant):
 
 
 def test_generate_excitation_dispatch(plant):
-    for kind in PE_KINDS + CE_KINDS + ("target_input",):
-        traj = generate_excitation(plant, ExcitationSpec(kind=kind, seed=1), T=0.1, dt=0.01)
-        assert traj.label == kind
+    generators = [(kind, excite_pe) for kind in PE_KINDS]
+    generators += [(kind, excite_ce) for kind in CE_KINDS]
+    generators += [("target_input", excite_target)]
+    inputs = []
+    for kind, direct in generators:
+        spec = ExcitationSpec(kind=kind, seed=1)
+        traj = generate_excitation(plant, spec, T=0.1, dt=0.01)
+        want = direct(plant, spec, T=0.1, dt=0.01)
         assert traj.n_samples == 11
+        for name in ("states", "inputs", "outputs"):
+            assert np.array_equal(getattr(traj, name), getattr(want, name)), (kind, name)
+        inputs.append(traj.inputs)
+    # five different input records, so the comparison above pins the generator
+    for i, u in enumerate(inputs):
+        assert not any(np.array_equal(u, v) for v in inputs[i + 1 :]), generators[i][0]

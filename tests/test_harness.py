@@ -33,6 +33,19 @@ def test_config_validation():
     assert ExperimentConfig().excitations == tuple(EXCITATIONS)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(projection_budgets=(float("nan"),)),
+        dict(projection_budgets=(1e-1, float("nan"))),
+        dict(regularization_eps=float("nan")),
+    ],
+)
+def test_config_rejects_nan(overrides):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**overrides)
+
+
 def test_single_cell_run():
     cfg = ExperimentConfig(excitations=("target",), projection_budgets=(1e-1,))
     rows = run_experiment(cfg)

@@ -66,7 +66,8 @@ def test_pinv_apply_matches_lstsq_oracle():
     # G @ m ~ rhs row-wise is m.T @ G.T ~ rhs.T column-wise
     m = random_matrix(2, (4, 9))
     rhs = random_matrix(3, (3, 9))
-    g = pinv_apply(m, 0.0, rhs)
+    g, rank = pinv_apply(m, 0.0, rhs)
+    assert rank == 4
     g_ref = np.linalg.lstsq(m.T, rhs.T, rcond=None)[0].T
     assert np.allclose(g, g_ref, atol=1e-10)
 
@@ -79,7 +80,7 @@ def test_pinv_apply_truncation_oracle():
     s = np.array([5.0, 3.0, 1.0, 1e-7, 1e-9])
     m = u * s @ v.T
     rhs = rng.standard_normal((2, 7))
-    g, rank = pinv_apply(m, 1e-5, rhs, return_rank=True)
+    g, rank = pinv_apply(m, 1e-5, rhs)
     assert rank == 3
     g_ref = (rhs @ v[:, :3]) / s[:3] @ u[:, :3].T
     assert np.allclose(g, g_ref, atol=1e-10)
@@ -87,7 +88,7 @@ def test_pinv_apply_truncation_oracle():
 
 def test_pinv_apply_never_inverts_machine_zeros():
     m = np.zeros((3, 4))
-    g, rank = pinv_apply(m, 0.0, np.ones((2, 4)), return_rank=True)
+    g, rank = pinv_apply(m, 0.0, np.ones((2, 4)))
     assert rank == 0
     assert np.array_equal(g, np.zeros((2, 3)))
 
@@ -167,6 +168,15 @@ def test_tolerances_validation():
         Tolerances(svd_truncation_eps=-1e-3)
 
 
+def test_nan_cutoff_is_rejected():
+    # NaN fails every comparison; read as "no cutoff" it would keep every
+    # singular value where the caller asked for some cutoff
+    with pytest.raises(ValueError):
+        Tolerances(svd_truncation_eps=float("nan"))
+    with pytest.raises(ValueError):
+        truncated_svd(np.eye(2), eps=float("nan"))
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_spectral_radius_below_frobenius_norm(seed):
@@ -180,7 +190,7 @@ def test_pinv_apply_satisfies_normal_equations(seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((4, 8))
     rhs = rng.standard_normal((2, 8))
-    g = pinv_apply(m, 0.0, rhs)
+    g, _ = pinv_apply(m, 0.0, rhs)
     # least-squares optimality: the residual is orthogonal to the data rows
     residual = g @ m - rhs
     assert np.linalg.norm(residual @ m.T) <= 1e-8 * max(1.0, np.linalg.norm(rhs))

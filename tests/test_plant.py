@@ -28,8 +28,7 @@ def test_transport_plant_structure():
     assert np.array_equal(plant.a_matrix, expected)
     assert np.array_equal(plant.b_matrix, [[rate], [0.0], [0.0], [0.0]])
     assert np.array_equal(plant.c_matrix, [[0.0, 0.0, 0.0, 1.0]])
-    assert plant.grid_size == 4
-    assert plant.transport_speed == 2.0
+    assert plant.n_states == 4
 
 
 def test_transport_plant_validation():

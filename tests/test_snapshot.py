@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,26 @@ def test_load_trajectory_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n4,5,6\n")
     with pytest.raises(ValueError):
+        load_trajectory_csv(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["t,u1,x1,y1", "t,x1,xx,y1", "t,x2,x1,u1", "t,x1,y1,u1", "x1,t,u1,y1", "t, x1,u1,y1"],
+)
+def test_load_trajectory_rejects_a_misordered_header(tmp_path, header):
+    # a column read into the wrong block would go unnoticed: every row
+    # still has the right number of values
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n0,1,2,3\n1,4,5,6\n")
+    with pytest.raises(ValueError, match=re.escape(repr(header))):
+        load_trajectory_csv(path)
+
+
+def test_load_trajectory_rejects_rows_wider_than_the_header(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,x1\n0,1,2\n1,4,5\n")
+    with pytest.raises(ValueError, match="rows have 3 values"):
         load_trajectory_csv(path)
 
 

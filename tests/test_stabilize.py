@@ -30,6 +30,13 @@ def scalar_model(a_value=1.05):
     return StateSpaceModel(a=[[a_value]])
 
 
+def closest_model_pairs(model):
+    """Identity snapshots: the data misfit becomes the distance to the model."""
+    n, m = model.order, model.n_inputs
+    z0, eye = model.blocks(), np.eye(n + m)
+    return SnapshotPairs(x0=eye[:n], x1=z0[:n], u0=eye[n:], y0=z0[n:])
+
+
 def autonomous_pairs(a_value, k=20):
     x0 = np.ones((1, k))
     return SnapshotPairs(x0=x0, x1=a_value * x0)
@@ -72,7 +79,8 @@ def test_already_stable_model_is_returned_unchanged():
 
 def test_scalar_model_fit_reaches_the_boundary_from_above():
     # constrained optimum of (a - 1.05)^2 over |a| < 1 sits at a -> 1 from below
-    out, report = stabilize(scalar_model(), config=StabilizeConfig(mode="model_fit"))
+    model = scalar_model()
+    out, report = stabilize(model, closest_model_pairs(model))
     a_s = out.a[0, 0]
     assert 1.0 - 1e-6 <= a_s < 1.0
     assert report.final_spectral_radius == pytest.approx(a_s)
@@ -91,8 +99,8 @@ def test_scalar_data_fit_with_exact_data():
 
 
 def test_tau_moves_the_boundary():
-    cfg = StabilizeConfig(tau=0.25, mode="model_fit")
-    out, report = stabilize(scalar_model(1.2), config=cfg)
+    model = scalar_model(1.2)
+    out, report = stabilize(model, closest_model_pairs(model), StabilizeConfig(tau=0.25))
     a_s = out.a[0, 0]
     assert 0.75 - 1e-6 <= a_s < 0.75
     assert report.final_spectral_radius < 0.75
@@ -100,12 +108,31 @@ def test_tau_moves_the_boundary():
 
 def test_model_fit_moves_only_the_offending_eigenvalue():
     model = StateSpaceModel(a=np.diag([1.5, 0.5]))
-    out, report = stabilize(model, config=StabilizeConfig(mode="model_fit"))
+    out, report = stabilize(model, closest_model_pairs(model))
     assert spectral_radius(out.a) < 1.0
     assert out.a[0, 0] == pytest.approx(1.0, abs=1e-3)
     assert out.a[1, 1] == pytest.approx(0.5, abs=1e-3)
     # optimal change clips one eigenvalue: |delta| ~ 0.5 over ||Z|| ~ 1.58
     assert report.relative_model_change <= 0.35
+
+
+def test_closest_model_repair_moves_only_the_a_block():
+    # the distance to the model has zero gradient in B, C and D, and the
+    # penalty acts on A alone, so those blocks come back bit for bit
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 4))
+    model = StateSpaceModel(
+        a=a * (1.4 / spectral_radius(a)),
+        b=rng.standard_normal((4, 2)),
+        c=rng.standard_normal((3, 4)),
+        d=rng.standard_normal((3, 2)),
+    )
+    out, report = stabilize(model, closest_model_pairs(model))
+    assert spectral_radius(out.a) < 1.0
+    for name in ("b", "c", "d"):
+        assert np.array_equal(getattr(out, name), getattr(model, name)), name
+    change = np.linalg.norm(out.a - model.a) / np.linalg.norm(model.blocks())
+    assert report.relative_model_change == pytest.approx(change, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -140,8 +167,6 @@ def test_input_validation():
     continuous = StateSpaceModel(a=[[1.05]], time_domain="continuous")
     with pytest.raises(ValueError):
         stabilize(continuous, autonomous_pairs(1.05))
-    with pytest.raises(ValueError):
-        stabilize(model)  # data_fit needs pairs
     wrong_dim = SnapshotPairs(x0=np.ones((2, 4)), x1=np.ones((2, 4)))
     with pytest.raises(ValueError):
         stabilize(model, wrong_dim)
@@ -154,7 +179,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StabilizeConfig(tau=1.0)
     with pytest.raises(ValueError):
-        StabilizeConfig(mode="closest_fit")
+        StabilizeConfig(tau=float("nan"))
 
 
 def test_report_json_roundtrip(tmp_path):
@@ -191,7 +216,7 @@ def test_model_fit_always_lands_inside_the_disk(seed):
         return
     a *= float(rng.uniform(1.05, 2.0)) / rho0
     model = StateSpaceModel(a=a)
-    out, report = stabilize(model, config=StabilizeConfig(mode="model_fit"))
+    out, report = stabilize(model, closest_model_pairs(model))
     assert spectral_radius(out.a) < 1.0 - 1e-12
     assert report.final_spectral_radius < 1.0 - 1e-12
     assert 0.0 < report.relative_model_change <= 1.0
