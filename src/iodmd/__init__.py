@@ -28,11 +28,8 @@ from .snapshot import (
 from .pod import PodBasis, pod_basis, pod_sweep
 from .identify import (
     DegenerateDataError,
-    DmdModes,
     StateSpaceModel,
-    dmd_modes,
     fit_dmd,
-    fit_dmdc,
     fit_iodmd,
     fit_reduced_iodmd,
     load_model_json,
@@ -40,7 +37,6 @@ from .identify import (
     to_continuous,
 )
 from .plant import (
-    Plant,
     SimConfig,
     build_transport_plant,
     relative_output_error,
@@ -48,6 +44,8 @@ from .plant import (
     simulate_discrete,
 )
 from .excite import (
+    CE_KINDS,
+    PE_KINDS,
     ExcitationSpec,
     excite_ce,
     excite_pe,

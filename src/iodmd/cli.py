@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from .harness import EXCITATIONS, ExperimentConfig, run_experiment
@@ -48,6 +49,15 @@ def parse_budgets(text: str) -> tuple[float, ...]:
         step = -1 if k_first >= k_last else 1
         return tuple(10.0**k for k in range(k_first, k_last + step, step))
     return tuple(float(part) for part in text.split(","))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes ``-1e-3`` for a negative number, which argparse's own pattern
+    (plain decimals only) reads as an option, leaving ``--budget`` empty."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _arg_type(parse):
@@ -212,7 +222,7 @@ def _cmd_stabilize(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iodmd",
         description="Data-driven reduced-order system identification toolkit.",
     )

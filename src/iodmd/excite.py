@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import Plant, SimConfig, simulate_continuous
+from .identify import StateSpaceModel
+from .plant import SimConfig, simulate_continuous
 from .snapshot import TrajectoryData
 
 __all__ = [
@@ -51,7 +52,7 @@ def target_input(times) -> np.ndarray:
     return np.exp(-((t - 0.1) ** 2) / 1000.0)
 
 
-def excite_pe(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
+def excite_pe(plant: StateSpaceModel, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
     """Simulate the plant from rest under noise or step input."""
     if spec.kind not in PE_KINDS:
         raise ValueError(f"excite_pe cannot generate kind {spec.kind!r}")
@@ -65,7 +66,7 @@ def excite_pe(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> Trajec
     return simulate_continuous(plant, u, None, cfg)
 
 
-def excite_ce(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
+def excite_ce(plant: StateSpaceModel, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
     """Two-stage cross excitation of a square plant.
 
     Stage 1 runs the plant autonomously from a perturbed initial state and
@@ -82,9 +83,9 @@ def excite_ce(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> Trajec
         )
     if spec.kind == "ce_gaussian_init":
         rng = np.random.default_rng(spec.seed)
-        x0 = rng.standard_normal(plant.n_states)
+        x0 = rng.standard_normal(plant.order)
     else:
-        x0 = np.ones(plant.n_states)
+        x0 = np.ones(plant.order)
     # Stage two replays the recorded outputs with zero-order-hold timing, so
     # sample u_k drives transition k -> k+1 and the stacked snapshot/input
     # pairs satisfy the implicit-Euler stencil exactly.
@@ -93,7 +94,9 @@ def excite_ce(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> Trajec
     return simulate_continuous(plant, stage1.outputs, None, cfg)
 
 
-def excite_target(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
+def excite_target(
+    plant: StateSpaceModel, spec: ExcitationSpec, T: float, dt: float
+) -> TrajectoryData:
     """Simulate the plant from rest under the benchmark bell input."""
     if spec.kind != "target_input":
         raise ValueError(f"excite_target cannot generate kind {spec.kind!r}")
@@ -103,7 +106,9 @@ def excite_target(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> Tr
     return simulate_continuous(plant, u, None, cfg)
 
 
-def generate_excitation(plant: Plant, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
+def generate_excitation(
+    plant: StateSpaceModel, spec: ExcitationSpec, T: float, dt: float
+) -> TrajectoryData:
     """Dispatch on spec.kind."""
     if spec.kind in PE_KINDS:
         return excite_pe(plant, spec, T, dt)

@@ -129,13 +129,14 @@ def _score(model: StateSpaceModel, u_hat: np.ndarray, y_ref: np.ndarray) -> floa
 
     The model starts from the zero reduced state, matching the plant's zero
     initial condition under any orthonormal projection. Unstable models
-    overflow in finite arithmetic; that surfaces as an infinite error.
+    overflow in finite arithmetic; that surfaces as an infinite error, also
+    when the replay stays finite but the error norm overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         y_test = simulate_discrete(model, u_hat).outputs
-    if not np.all(np.isfinite(y_test)):
-        return float("inf")
-    return relative_output_error(y_ref, y_test)
+        if not np.all(np.isfinite(y_test)):
+            return float("inf")
+        return relative_output_error(y_ref, y_test)
 
 
 def _failed_row(tag: str, budget: float, note: str, wall_s: float) -> ExperimentRow:

@@ -1,11 +1,12 @@
 """DMD-family least-squares fits of discrete-time state-space models.
 
-All variants solve one pseudoinverse problem over snapshot pairs:
+Two solves over snapshot pairs:
 
 * plain DMD:    x1 ~ A x0, projected onto the retained left singular basis
-* DMD with control: [A B] from stacked state/input data
-* ioDMD:        all four blocks [A B; C D] in a single solve
-* reduced ioDMD: the same after compressing states through a POD basis
+* ioDMD:        all four blocks [A B; C D] in a single pseudoinverse solve;
+  without output rows it is DMD with control, [A B] = x1 pinv([x0; u0]),
+  and without inputs either it is x1 pinv(x0)
+* reduced ioDMD: ioDMD after compressing states through a POD basis
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ from .snapshot import SnapshotPairs, project_pairs
 
 __all__ = [
     "StateSpaceModel",
-    "DmdModes",
     "DegenerateDataError",
     "fit_dmd",
-    "fit_dmdc",
     "fit_iodmd",
     "fit_reduced_iodmd",
-    "dmd_modes",
     "to_continuous",
     "save_model_json",
     "load_model_json",
@@ -118,14 +116,6 @@ class StateSpaceModel:
         return np.vstack([top, np.hstack([self.c, self.d])])
 
 
-@dataclass
-class DmdModes:
-    """Eigenvalues and eigenvectors of a fitted transition matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _stacked_data(pairs: SnapshotPairs) -> tuple[np.ndarray, np.ndarray]:
     data = np.vstack([pairs.x0, pairs.u0])
     target = np.vstack([pairs.x1, pairs.y0])
@@ -167,21 +157,12 @@ def fit_dmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
     return model
 
 
-def fit_dmdc(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
-    """DMD with control: [A B] = x1 @ pinv([x0; u0])."""
-    if pairs.n_inputs == 0:
-        raise ValueError("fit_dmdc needs input snapshots; use fit_dmd instead")
-    data, _ = _stacked_data(pairs)
-    g, rank = pinv_apply(data, tol.svd_truncation_eps, pairs.x1)
-    return _split_blocks(g, pairs.n_states, pairs, underdetermined=rank < data.shape[0])
-
-
 def fit_iodmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
-    """All four blocks from one solve: [A B; C D] = [x1; y0] @ pinv([x0; u0])."""
-    if pairs.n_inputs == 0:
-        raise ValueError("fit_iodmd needs input snapshots")
-    if pairs.n_outputs == 0:
-        raise ValueError("fit_iodmd needs output snapshots")
+    """All four blocks from one solve: [A B; C D] = [x1; y0] @ pinv([x0; u0]).
+
+    Empty input or output channels drop out of the stacks, so pairs without
+    outputs give DMD with control and autonomous pairs give x1 @ pinv(x0).
+    """
     data, target = _stacked_data(pairs)
     g, rank = pinv_apply(data, tol.svd_truncation_eps, target)
     return _split_blocks(g, pairs.n_states, pairs, underdetermined=rank < data.shape[0])
@@ -208,12 +189,6 @@ def fit_reduced_iodmd(
     model = fit_iodmd(project_pairs(pairs, q), tol)
     model.basis = q
     return model
-
-
-def dmd_modes(model: StateSpaceModel) -> DmdModes:
-    """Eigendecomposition of the fitted transition matrix."""
-    eigenvalues, eigenvectors = np.linalg.eig(model.a)
-    return DmdModes(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def to_continuous(model: StateSpaceModel, h: float) -> StateSpaceModel:

@@ -14,6 +14,7 @@ __all__ = [
     "SvdResult",
     "Tolerances",
     "SpectralRadiusGradient",
+    "machine_rank",
     "truncated_svd",
     "pinv_apply",
     "spectral_radius",

@@ -1,9 +1,10 @@
 """Benchmark source system and time steppers.
 
-The plant is a continuous-time LTI system ẋ = Ax + Bu, y = Cx. The
-benchmark instance discretizes 1-D transport at speed ``a`` on a unit
-interval with first-order upwind differences: values flow left to right,
-the input feeds the left boundary and the output reads the right one.
+The plant is a continuous-time ``StateSpaceModel`` ẋ = Ax + Bu,
+y = Cx + Du. The benchmark instance discretizes 1-D transport at speed
+``a`` on a unit interval with first-order upwind differences: values flow
+left to right, the input feeds the left boundary and the output reads the
+right one.
 """
 
 from __future__ import annotations
@@ -14,55 +15,16 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from .identify import StateSpaceModel
 from .snapshot import TrajectoryData
 
 __all__ = [
-    "Plant",
     "SimConfig",
     "build_transport_plant",
     "simulate_continuous",
     "simulate_discrete",
     "relative_output_error",
 ]
-
-
-@dataclass
-class Plant:
-    """Continuous-time system matrices."""
-
-    a_matrix: np.ndarray
-    b_matrix: np.ndarray
-    c_matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.a_matrix = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
-        n = self.a_matrix.shape[0]
-        if self.a_matrix.shape != (n, n):
-            raise ValueError(f"a_matrix must be square, got {self.a_matrix.shape}")
-        b = np.asarray(self.b_matrix, dtype=float)
-        if b.ndim == 1:
-            b = b.reshape(n, -1) if b.size else np.zeros((n, 0))
-        if b.ndim != 2 or b.shape[0] != n:
-            raise ValueError(f"b_matrix must have {n} rows, got shape {b.shape}")
-        self.b_matrix = b
-        c = np.asarray(self.c_matrix, dtype=float)
-        if c.ndim == 1:
-            c = c.reshape(-1, n) if c.size else np.zeros((0, n))
-        if c.ndim != 2 or c.shape[1] != n:
-            raise ValueError(f"c_matrix must have {n} columns, got shape {c.shape}")
-        self.c_matrix = c
-
-    @property
-    def n_states(self) -> int:
-        return self.a_matrix.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.b_matrix.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.c_matrix.shape[0]
 
 
 @dataclass
@@ -95,7 +57,7 @@ class SimConfig:
         return int(round(self.horizon / self.dt))
 
 
-def build_transport_plant(speed: float, dx: float) -> Plant:
+def build_transport_plant(speed: float, dx: float) -> StateSpaceModel:
     """Upwind semi-discretization of transport on [0, 1].
 
     N = round(1/dx) cells; the state operator is lower bidiagonal with
@@ -116,84 +78,68 @@ def build_transport_plant(speed: float, dx: float) -> Plant:
     b[0, 0] = rate
     c = np.zeros((1, n))
     c[0, -1] = 1.0
-    return Plant(a_matrix=a, b_matrix=b, c_matrix=c)
+    return StateSpaceModel(a, b, c, time_domain="continuous")
 
 
-def _input_samples(u, m: int, n_samples: int) -> np.ndarray:
-    if u is None:
-        return np.zeros((m, n_samples))
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1) if m == 1 else arr.reshape(m, -1)
-    if arr.shape != (m, n_samples):
-        raise ValueError(
-            f"input samples must have shape ({m}, {n_samples}), got {arr.shape}"
-        )
-    return arr
+def _checked_run(model: StateSpaceModel, domain: str, u, x0, n_samples=None):
+    """Input samples of shape (inputs, samples) and the initial state.
+
+    ``u=None`` means zero input over ``n_samples`` samples; without a
+    sample count the input must be given. ``x0=None`` starts at rest.
+    """
+    if model.time_domain != domain:
+        raise ValueError(f"simulate_{domain} requires a {domain}-time model")
+    if u is None and n_samples is None:
+        raise ValueError("input samples are required (use zeros for autonomous runs)")
+    m, r = model.n_inputs, model.order
+    u_arr = np.zeros((m, n_samples)) if u is None else np.asarray(u, dtype=float)
+    if u_arr.ndim == 1:
+        u_arr = u_arr.reshape(m, -1)
+    if u_arr.ndim != 2 or u_arr.shape[0] != m:
+        raise ValueError(f"input samples must have {m} rows, got shape {u_arr.shape}")
+    if n_samples is not None and u_arr.shape[1] != n_samples:
+        raise ValueError(f"need {n_samples} input samples, got {u_arr.shape[1]}")
+    if u_arr.shape[1] < 1:
+        raise ValueError("need at least one input sample")
+    start = np.zeros(r) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    if start.size != r:
+        raise ValueError(f"x0 must have {r} entries, got {start.size}")
+    return u_arr, start
 
 
-def simulate_continuous(plant: Plant, u, x0, cfg: SimConfig) -> TrajectoryData:
-    """Implicit-Euler integration of the plant on a uniform grid.
+def simulate_continuous(model: StateSpaceModel, u, x0, cfg: SimConfig) -> TrajectoryData:
+    """Implicit-Euler integration of a continuous-time model on a uniform grid.
 
     Steps x_{k+1} = (I - dt A)^{-1} (x_k + dt B u_*), where u_* is
-    u_{k+1} or u_k depending on cfg.input_timing. The sparse LU of
-    (I - dt A) is computed once and reused for every step.
+    u_{k+1} or u_k depending on cfg.input_timing, and reads
+    y_k = C x_k + D u_k. The sparse LU of (I - dt A) is computed once and
+    reused for every step.
     """
-    n = plant.n_states
     steps = cfg.n_steps
-    u_arr = _input_samples(u, plant.n_inputs, steps + 1)
-    if x0 is None:
-        start = np.zeros(n)
-    else:
-        start = np.asarray(x0, dtype=float).reshape(-1)
-        if start.size != n:
-            raise ValueError(f"x0 must have {n} entries, got {start.size}")
-
-    stepper = sparse.identity(n, format="csc") - cfg.dt * sparse.csc_matrix(plant.a_matrix)
-    lu = splu(stepper)
+    u_arr, start = _checked_run(model, "continuous", u, x0, steps + 1)
+    n = model.order
+    lu = splu(sparse.identity(n, format="csc") - cfg.dt * sparse.csc_matrix(model.a))
 
     x = np.empty((n, steps + 1))
     x[:, 0] = start
     shift = 1 if cfg.input_timing == "end" else 0
-    bmat = plant.b_matrix
     for k in range(steps):
-        rhs = x[:, k] + cfg.dt * (bmat @ u_arr[:, k + shift])
+        rhs = x[:, k] + cfg.dt * (model.b @ u_arr[:, k + shift])
         x[:, k + 1] = lu.solve(rhs)
-    y = plant.c_matrix @ x
+    y = model.c @ x + model.d @ u_arr
     return TrajectoryData(states=x, inputs=u_arr, outputs=y, step_width=cfg.dt)
 
 
-def simulate_discrete(model, u, x0=None) -> TrajectoryData:
+def simulate_discrete(model: StateSpaceModel, u, x0=None) -> TrajectoryData:
     """Iterate a discrete-time state-space model over given input samples.
 
     x_{k+1} = A x_k + B u_k and y_k = C x_k + D u_k; the trajectory has
     as many samples as the input signal.
     """
-    if model.time_domain != "discrete":
-        raise ValueError("simulate_discrete requires a discrete-time model")
-    r = model.order
-    if u is None:
-        raise ValueError("input samples are required (use zeros for autonomous runs)")
-    u_arr = np.asarray(u, dtype=float)
-    if u_arr.ndim == 1:
-        u_arr = u_arr.reshape(1, -1) if model.n_inputs == 1 else u_arr.reshape(model.n_inputs, -1)
-    if u_arr.ndim != 2 or u_arr.shape[0] != model.n_inputs:
-        raise ValueError(
-            f"input samples must have {model.n_inputs} rows, got shape {u_arr.shape}"
-        )
-    n_samples = u_arr.shape[1]
-    if n_samples < 1:
-        raise ValueError("need at least one input sample")
-    if x0 is None:
-        start = np.zeros(r)
-    else:
-        start = np.asarray(x0, dtype=float).reshape(-1)
-        if start.size != r:
-            raise ValueError(f"x0 must have {r} entries, got {start.size}")
-
-    x = np.empty((r, n_samples))
+    u_arr, start = _checked_run(model, "discrete", u, x0)
+    x = np.empty((model.order, u_arr.shape[1]))
     x[:, 0] = start
-    for k in range(n_samples - 1):
+    for k in range(u_arr.shape[1] - 1):
         x[:, k + 1] = model.a @ x[:, k] + model.b @ u_arr[:, k]
     y = model.c @ x + model.d @ u_arr
     return TrajectoryData(

@@ -24,7 +24,7 @@ __all__ = ["PodBasis", "pod_basis", "pod_sweep"]
 # Gaussian test vectors drawn per range-finder step
 _BLOCK = 48
 # the sketch is seeded per call, so a matrix always gets the same basis,
-# whichever thread or call order factors it
+# whatever was factored before it
 _SKETCH_SEED = 0
 
 

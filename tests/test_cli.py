@@ -248,6 +248,13 @@ def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
          "svd_truncation_eps must be >= 0"),
         (["identify", "--data", "{missing}", "--budget", "0.1",
           "--reg-eps", "nan", "--out", "{out}"], "svd_truncation_eps must be >= 0"),
+        # negative values in e-notation reach the same checks
+        (["identify", "--data", "{missing}", "--budget", "-1e-3",
+          "--out", "{out}"], "error budget must be nonnegative"),
+        (["stabilize", "--model", "{missing}", "--data", "{missing}",
+          "--out", "{out}", "--tau", "-1e-1"], "tau must lie in [0, 1)"),
+        (["run", "--reg-eps", "-1e-5", "--out", "{out}"],
+         "svd_truncation_eps must be >= 0"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_file_is_touched(

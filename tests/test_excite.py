@@ -13,7 +13,8 @@ from iodmd.excite import (
     generate_excitation,
     target_input,
 )
-from iodmd.plant import Plant, build_transport_plant
+from iodmd.identify import StateSpaceModel
+from iodmd.plant import build_transport_plant
 from iodmd.snapshot import make_pairs
 
 
@@ -54,7 +55,7 @@ def test_pe_step_holds_constant_amplitude(plant):
 
 def test_pe_starts_from_rest(plant):
     traj = excite_pe(plant, ExcitationSpec(kind="pe_gaussian_noise"), T=0.1, dt=0.01)
-    assert np.array_equal(traj.states[:, 0], np.zeros(plant.n_states))
+    assert np.array_equal(traj.states[:, 0], np.zeros(plant.order))
     assert traj.n_samples == 11
     assert traj.step_width == 0.01
 
@@ -72,7 +73,7 @@ def test_ce_training_data_satisfies_one_step_stencil(plant):
         traj = excite_ce(plant, ExcitationSpec(kind=kind, seed=5), T=0.5, dt=dt)
         pairs = make_pairs(traj)
         residual = (pairs.x1 - pairs.x0) / dt - (
-            plant.a_matrix @ pairs.x1 + plant.b_matrix @ pairs.u0
+            plant.a @ pairs.x1 + plant.b @ pairs.u0
         )
         scale = max(1.0, np.linalg.norm(pairs.x1 / dt))
         assert np.linalg.norm(residual) <= 1e-10 * scale
@@ -81,7 +82,7 @@ def test_ce_training_data_satisfies_one_step_stencil(plant):
 def test_ce_replays_stage_one_output(plant):
     traj = excite_ce(plant, ExcitationSpec(kind="ce_shifted_init"), T=0.2, dt=0.01)
     # stage 2 runs from rest and is driven by a recorded signal
-    assert np.array_equal(traj.states[:, 0], np.zeros(plant.n_states))
+    assert np.array_equal(traj.states[:, 0], np.zeros(plant.order))
     assert traj.inputs.shape == (1, 21)
     assert np.any(traj.inputs != 0.0)
 
@@ -94,7 +95,7 @@ def test_ce_random_init_is_seed_reproducible(plant):
 
 
 def test_ce_needs_square_plant():
-    tall = Plant(a_matrix=np.eye(2), b_matrix=np.ones((2, 1)), c_matrix=np.ones((2, 2)))
+    tall = StateSpaceModel(np.eye(2), np.ones((2, 1)), np.ones((2, 2)), time_domain="continuous")
     with pytest.raises(ValueError):
         excite_ce(tall, ExcitationSpec(kind="ce_shifted_init"), T=0.1, dt=0.01)
 
@@ -103,7 +104,7 @@ def test_excite_target_uses_the_bell(plant):
     traj = excite_target(plant, ExcitationSpec(kind="target_input"), T=0.2, dt=0.01)
     times = np.arange(21) * 0.01
     assert np.allclose(traj.inputs[0], target_input(times))
-    assert np.allclose(traj.outputs, plant.c_matrix @ traj.states)
+    assert np.allclose(traj.outputs, plant.c @ traj.states)
 
 
 def test_generate_excitation_dispatch(plant):

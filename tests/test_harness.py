@@ -1,5 +1,7 @@
 """Sweep driver: config contracts and table layout."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,12 @@ from iodmd.harness import (
     EXCITATIONS,
     ExperimentConfig,
     ExperimentRow,
+    _score,
     emit_tables,
     run_experiment,
 )
+from iodmd.identify import StateSpaceModel
+from iodmd.plant import simulate_discrete
 
 
 def test_config_validation():
@@ -68,6 +73,18 @@ def test_unstable_cell_is_tagged_not_killed():
     assert not rows[0].stable_before
     assert rows[0].note == "nonfinite_output"
     assert np.isinf(rows[0].rel_output_error)
+
+
+def test_score_of_a_finite_but_huge_replay_is_inf_without_warnings():
+    # growth 2 per step: the replay stays finite, but its squares overflow
+    # inside the error norm
+    model = StateSpaceModel(a=[[2.0]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
+    u_hat = y_ref = np.ones((1, 1001))
+    y = simulate_discrete(model, u_hat).outputs
+    assert np.all(np.isfinite(y)) and y.max() > 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _score(model, u_hat, y_ref) == float("inf")
 
 
 def test_rows_follow_config_order():

@@ -8,9 +8,7 @@ import pytest
 from iodmd.identify import (
     DegenerateDataError,
     StateSpaceModel,
-    dmd_modes,
     fit_dmd,
-    fit_dmdc,
     fit_iodmd,
     fit_reduced_iodmd,
     load_model_json,
@@ -56,8 +54,13 @@ def test_iodmd_recovers_all_blocks_exactly():
 
 
 def test_dmdc_recovers_state_equation():
+    # DMD with control is the ioDMD solve on pairs without outputs
     system = random_system(11)
-    fitted = fit_dmdc(pairs_from(system, 11), Tolerances())
+    full = pairs_from(system, 11)
+    pairs = SnapshotPairs(x0=full.x0, x1=full.x1, u0=full.u0)
+    fitted = fit_iodmd(pairs, Tolerances())
+    oracle = pairs.x1 @ np.linalg.pinv(np.vstack([pairs.x0, pairs.u0]))
+    assert np.allclose(fitted.blocks(), oracle, atol=1e-10)
     assert np.linalg.norm(fitted.a - system.a) < 1e-10
     assert np.linalg.norm(fitted.b - system.b) < 1e-10
     assert fitted.n_outputs == 0
@@ -119,7 +122,7 @@ def test_plain_dmd_recovers_spectrum_from_autonomous_data():
     assert model.order == 4
     lifted = model.basis @ model.a @ model.basis.T
     assert np.linalg.norm(lifted - a) < 1e-8
-    got = np.sort_complex(dmd_modes(model).eigenvalues)
+    got = np.sort_complex(np.linalg.eigvals(model.a))
     want = np.sort_complex(np.linalg.eigvals(a))
     assert np.allclose(got, want, atol=1e-8)
 
@@ -132,12 +135,14 @@ def test_fit_dmd_degenerate_data():
         fit_dmd(pairs, Tolerances(svd_truncation_eps=1e9))
 
 
-def test_fit_variant_preconditions():
-    pairs = SnapshotPairs(x0=np.ones((2, 3)), x1=np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        fit_dmdc(pairs, Tolerances())
-    with pytest.raises(ValueError):
-        fit_iodmd(pairs, Tolerances())
+def test_iodmd_fits_autonomous_pairs():
+    # no inputs and no outputs: the solve is x1 @ pinv(x0)
+    rng = np.random.default_rng(17)
+    pairs = SnapshotPairs(x0=rng.standard_normal((3, 8)), x1=rng.standard_normal((3, 8)))
+    fitted = fit_iodmd(pairs, Tolerances())
+    assert np.allclose(fitted.a, pairs.x1 @ np.linalg.pinv(pairs.x0), atol=1e-12)
+    assert (fitted.n_inputs, fitted.n_outputs) == (0, 0)
+    assert not fitted.underdetermined
 
 
 def test_reduced_iodmd_reproduces_projected_dynamics():
@@ -212,6 +217,8 @@ def test_state_space_model_validation():
         StateSpaceModel(a=np.ones((2, 3)))
     with pytest.raises(ValueError):
         StateSpaceModel(a=np.eye(2), b=np.ones((3, 1)))
+    with pytest.raises(ValueError):
+        StateSpaceModel(a=np.eye(2), c=np.ones((1, 3)), time_domain="continuous")
     with pytest.raises(ValueError):
         StateSpaceModel(a=np.eye(2), time_domain="hybrid")
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from iodmd.identify import StateSpaceModel
 from iodmd.plant import (
-    Plant,
     SimConfig,
     build_transport_plant,
     relative_output_error,
@@ -25,10 +24,12 @@ def test_transport_plant_structure():
             [0.0, 0.0, rate, -rate],
         ]
     )
-    assert np.array_equal(plant.a_matrix, expected)
-    assert np.array_equal(plant.b_matrix, [[rate], [0.0], [0.0], [0.0]])
-    assert np.array_equal(plant.c_matrix, [[0.0, 0.0, 0.0, 1.0]])
-    assert plant.n_states == 4
+    assert np.array_equal(plant.a, expected)
+    assert np.array_equal(plant.b, [[rate], [0.0], [0.0], [0.0]])
+    assert np.array_equal(plant.c, [[0.0, 0.0, 0.0, 1.0]])
+    assert np.array_equal(plant.d, [[0.0]])
+    assert plant.order == 4
+    assert plant.time_domain == "continuous"
 
 
 def test_transport_plant_validation():
@@ -36,13 +37,6 @@ def test_transport_plant_validation():
         build_transport_plant(speed=0.0, dx=0.1)
     with pytest.raises(ValueError):
         build_transport_plant(speed=1.0, dx=1.5)
-
-
-def test_plant_shape_checks():
-    with pytest.raises(ValueError):
-        Plant(a_matrix=np.ones((2, 3)), b_matrix=np.ones((2, 1)), c_matrix=np.ones((1, 2)))
-    with pytest.raises(ValueError):
-        Plant(a_matrix=np.eye(2), b_matrix=np.ones((3, 1)), c_matrix=np.ones((1, 2)))
 
 
 def test_sim_config_validation():
@@ -58,7 +52,7 @@ def test_sim_config_validation():
 def test_implicit_euler_matches_scalar_closed_form():
     # x' = a x + b u with constant u: x_{k+1} = (x_k + dt b u) / (1 - dt a)
     a, b, u, dt = -2.0, 3.0, 1.5, 0.1
-    plant = Plant(a_matrix=[[a]], b_matrix=[[b]], c_matrix=[[1.0]])
+    plant = StateSpaceModel([[a]], [[b]], [[1.0]], time_domain="continuous")
     cfg = SimConfig(dt=dt, horizon=1.0)
     traj = simulate_continuous(plant, np.full((1, 11), u), None, cfg)
     x = 0.0
@@ -70,7 +64,7 @@ def test_implicit_euler_matches_scalar_closed_form():
 
 def test_input_timing_selects_the_sample():
     # one step with a ramp input distinguishes u_0 from u_1
-    plant = Plant(a_matrix=[[0.0]], b_matrix=[[1.0]], c_matrix=[[1.0]])
+    plant = StateSpaceModel([[0.0]], [[1.0]], [[1.0]], time_domain="continuous")
     u = np.array([[0.0, 1.0]])
     cfg_end = SimConfig(dt=1.0, horizon=1.0, input_timing="end")
     cfg_start = SimConfig(dt=1.0, horizon=1.0, input_timing="start")
@@ -98,6 +92,22 @@ def test_simulate_continuous_rejects_bad_start_and_method():
     cfg = SimConfig(dt=0.1, horizon=0.5)
     with pytest.raises(ValueError):
         simulate_continuous(plant, None, np.ones(3), cfg)
+    with pytest.raises(ValueError):
+        simulate_continuous(plant, np.zeros((1, 5)), None, cfg)  # needs 6 samples
+    discrete = StateSpaceModel(plant.a, plant.b, plant.c, step_width=0.1)
+    with pytest.raises(ValueError, match="continuous-time model"):
+        simulate_continuous(discrete, None, None, cfg)
+
+
+def test_simulate_continuous_reads_c_x_plus_d_u():
+    rng = np.random.default_rng(3)
+    a, b, c, d = (rng.standard_normal(shape) for shape in ((3, 3), (3, 2), (2, 3), (2, 2)))
+    model = StateSpaceModel(a - 3.0 * np.eye(3), b, c, d, time_domain="continuous")
+    cfg = SimConfig(dt=0.05, horizon=0.5)
+    u = rng.standard_normal((2, 11))
+    traj = simulate_continuous(model, u, rng.standard_normal(3), cfg)
+    assert np.allclose(traj.outputs, c @ traj.states + d @ u, atol=1e-14)
+    assert not np.allclose(traj.outputs, c @ traj.states)
 
 
 def test_simulate_discrete_matches_manual_loop():
