@@ -52,12 +52,12 @@ def parse_budgets(text: str) -> tuple[float, ...]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes ``-1e-3`` for a negative number, which argparse's own pattern
-    (plain decimals only) reads as an option, leaving ``--budget`` empty."""
+    """Takes ``-1e-3``, ``-inf`` and ``-nan`` for numbers, which argparse's
+    own pattern (plain decimals) reads as options, leaving ``--budget`` empty."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
 
 def _arg_type(parse):
@@ -164,8 +164,8 @@ def _add_identify(subparsers) -> None:
 
 def _cmd_identify(args) -> int:
     traj = load_trajectory_csv(args.data)
-    pairs = make_pairs(traj)
     basis = pod_basis(traj.states, args.budget, mode=args.budget_mode)
+    pairs = project_pairs(make_pairs(traj), basis.modes)
     model = fit_reduced_iodmd(pairs, basis, Tolerances(svd_truncation_eps=args.reg_eps))
     save_model_json(model, args.out)
     rho = spectral_radius(model.a)

@@ -1,19 +1,19 @@
 """Benchmark experiment driver for the transport plant.
 
 One experiment is a sweep over excitation variants and projection-error
-budgets: generate training data per excitation, build POD bases for all
-budgets from one range-finder factorization, fit a reduced ioDMD model per
-budget, optionally stabilize unstable fits, and score every model by
-replaying the benchmark bell input against the full-order plant. Results
-land in a row list and, when an output directory is given, in plottable
-CSV tables.
+budgets. Per excitation it generates training data, builds nested POD bases
+for all budgets from one range-finder factorization and projects the
+snapshot pairs once onto the widest; per budget it fits a reduced ioDMD
+model on the leading rows, repairs an unstable fit on the same pairs if
+asked, and scores the model by replaying the bell input against the plant.
+Rows land in a list and, with an output directory, in plottable CSV tables.
 """
 
 from __future__ import annotations
 
 import pathlib
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -161,7 +161,7 @@ def _run_cell(
     tag: str,
     budget: float,
     basis: PodBasis,
-    pairs: SnapshotPairs,
+    projected: SnapshotPairs,
     u_hat: np.ndarray,
     y_ref: np.ndarray,
     shared_s: float,
@@ -170,6 +170,7 @@ def _run_cell(
     note = ""
     nan = float("nan")
     try:
+        pairs = replace(projected, x0=projected.x0[: basis.order], x1=projected.x1[: basis.order])
         model = fit_reduced_iodmd(
             pairs, basis, Tolerances(svd_truncation_eps=cfg.regularization_eps)
         )
@@ -181,9 +182,8 @@ def _run_cell(
         change = nan
         rho_after = rho_before
         if cfg.stabilize and not stable_before:
-            reduced = project_pairs(pairs, basis.modes)
             try:
-                model, report = stabilize(model, reduced, StabilizeConfig())
+                model, report = stabilize(model, pairs, StabilizeConfig())
                 stabilized = True
             except NotStabilizedError as exc:
                 # keep the unstable fit for scoring, flag the row
@@ -219,10 +219,10 @@ def _run_cell(
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Run the sweep and return one row per (excitation, budget) cell.
 
-    Training data and the POD spectrum are computed once per excitation and
-    amortized evenly into the wall times of that excitation's rows. Rows are
-    always returned in config order; when cfg.output_dir is set the CSV
-    tables are written as well.
+    Training data, the POD spectrum and the projected snapshot pairs are
+    computed once per excitation and amortized evenly into the wall times of
+    that excitation's rows. Rows are always returned in config order; when
+    cfg.output_dir is set the CSV tables are written as well.
     """
     plant = build_transport_plant(cfg.transport_speed, cfg.dx)
     eval_cfg = SimConfig(dt=cfg.dt, horizon=cfg.horizon, input_timing="start")
@@ -235,8 +235,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
         try:
             spec = ExcitationSpec(kind=EXCITATIONS[tag], seed=cfg.seed)
             traj = generate_excitation(plant, spec, cfg.horizon, cfg.dt)
-            pairs = make_pairs(traj)
             bases = pod_sweep(traj.states, cfg.projection_budgets, mode="absolute")
+            widest = max(bases, key=lambda basis: basis.order)
+            projected = project_pairs(make_pairs(traj), widest.modes)
         except Exception as exc:  # noqa: BLE001 - failure becomes row tags
             per = (time.perf_counter() - t_shared) / len(cfg.projection_budgets)
             return [
@@ -245,7 +246,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
             ]
         shared = (time.perf_counter() - t_shared) / len(cfg.projection_budgets)
         return [
-            _run_cell(cfg, tag, budget, basis, pairs, u_hat, y_ref, shared)
+            _run_cell(cfg, tag, budget, basis, projected, u_hat, y_ref, shared)
             for budget, basis in zip(cfg.projection_budgets, bases)
         ]
 

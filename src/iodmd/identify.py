@@ -6,7 +6,7 @@ Two solves over snapshot pairs:
 * ioDMD:        all four blocks [A B; C D] in a single pseudoinverse solve;
   without output rows it is DMD with control, [A B] = x1 pinv([x0; u0]),
   and without inputs either it is x1 pinv(x0)
-* reduced ioDMD: ioDMD after compressing states through a POD basis
+* reduced ioDMD: ioDMD on states already compressed through a POD basis
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from .linalg import Tolerances, pinv_apply, truncated_svd
 from .pod import PodBasis
-from .snapshot import SnapshotPairs, project_pairs
+from .snapshot import SnapshotPairs
+from .snapshot import project_pairs  # noqa: F401 - bench/tracing.py patches this name
 
 __all__ = [
     "StateSpaceModel",
@@ -171,22 +172,20 @@ def fit_iodmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
 def fit_reduced_iodmd(
     pairs: SnapshotPairs, basis: PodBasis, tol: Tolerances
 ) -> StateSpaceModel:
-    """ioDMD on state data compressed through an orthonormal projection.
-
-    The model order equals the basis column count; the basis is kept on the
-    model for lifting.
-    """
+    """ioDMD on pairs whose states are in the coordinates of ``basis``, such
+    as ``project_pairs(pairs, basis.modes)``: one state row per orthonormal
+    basis column, so the model order is the column count. The basis is kept
+    on the model for lifting."""
     q = basis.modes
-    if q.shape[1] == 0:
-        raise ValueError("projection basis has no columns")
-    if q.shape[0] != pairs.n_states:
+    if not 0 < q.shape[1] == pairs.n_states:
         raise ValueError(
-            f"basis has {q.shape[0]} rows, expected {pairs.n_states} states"
+            f"pairs have {pairs.n_states} states, the basis has {q.shape[1]} columns; "
+            "need one state per column and at least one column"
         )
     gram_defect = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
     if gram_defect > max(1e-8, 1e-12 * q.shape[0]):
         raise ValueError(f"basis columns not orthonormal (defect {gram_defect:.2e})")
-    model = fit_iodmd(project_pairs(pairs, q), tol)
+    model = fit_iodmd(pairs, tol)
     model.basis = q
     return model
 

@@ -139,8 +139,8 @@ def simulate_discrete(model: StateSpaceModel, u, x0=None) -> TrajectoryData:
     u_arr, start = _checked_run(model, "discrete", u, x0)
     x = np.empty((model.order, u_arr.shape[1]))
     x[:, 0] = start
-    for k in range(u_arr.shape[1] - 1):
-        x[:, k + 1] = model.a @ x[:, k] + model.b @ u_arr[:, k]
+    for k, drive in enumerate((model.b @ u_arr)[:, :-1].T):
+        x[:, k + 1] = model.a @ x[:, k] + drive
     y = model.c @ x + model.d @ u_arr
     return TrajectoryData(
         states=x,

@@ -255,6 +255,17 @@ def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
           "--out", "{out}", "--tau", "-1e-1"], "tau must lie in [0, 1)"),
         (["run", "--reg-eps", "-1e-5", "--out", "{out}"],
          "svd_truncation_eps must be >= 0"),
+        # and so do negative infinities and NaN
+        (["identify", "--data", "{missing}", "--budget", "-inf",
+          "--out", "{out}"], "error budget must be nonnegative"),
+        (["identify", "--data", "{missing}", "--budget", "-nan",
+          "--out", "{out}"], "error budget must be nonnegative"),
+        (["stabilize", "--model", "{missing}", "--data", "{missing}",
+          "--out", "{out}", "--tau", "-inf"], "tau must lie in [0, 1)"),
+        (["run", "--reg-eps", "-inf", "--out", "{out}"],
+         "svd_truncation_eps must be >= 0"),
+        (["run", "--reg-eps", "-Infinity", "--out", "{out}"],
+         "svd_truncation_eps must be >= 0"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_file_is_touched(

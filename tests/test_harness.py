@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from iodmd import harness
 from iodmd.harness import (
     EXCITATIONS,
     ExperimentConfig,
@@ -15,6 +16,7 @@ from iodmd.harness import (
 )
 from iodmd.identify import StateSpaceModel
 from iodmd.plant import simulate_discrete
+from iodmd.snapshot import make_pairs, project_pairs
 
 
 def test_config_validation():
@@ -85,6 +87,55 @@ def test_score_of_a_finite_but_huge_replay_is_inf_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _score(model, u_hat, y_ref) == float("inf")
+
+
+def test_each_excitation_is_projected_once_for_fit_and_repair(monkeypatch):
+    names = ("generate_excitation", "project_pairs", "fit_reduced_iodmd", "stabilize")
+    real = {name: getattr(harness, name) for name in names}
+    trajs, projected_kinds, fits, repairs = {}, [], {}, {}
+    cell = {}
+
+    def generate(plant, spec, *rest):
+        cell["kind"] = spec.kind
+        trajs[spec.kind] = real["generate_excitation"](plant, spec, *rest)
+        return trajs[spec.kind]
+
+    def project(pairs, q):
+        projected_kinds.append(cell["kind"])
+        return real["project_pairs"](pairs, q)
+
+    def fit(pairs, basis, tol):
+        cell["key"] = (cell["kind"], basis.requested_error)
+        fits[cell["key"]] = (pairs, basis)
+        return real["fit_reduced_iodmd"](pairs, basis, tol)
+
+    def repair(model, pairs, config):
+        repairs[cell["key"]] = pairs
+        return real["stabilize"](model, pairs, config)
+
+    for name, wrapper in zip(names, (generate, project, fit, repair)):
+        monkeypatch.setattr(harness, name, wrapper)
+
+    cfg = ExperimentConfig(
+        excitations=("target", "pe_noise"),
+        projection_budgets=(2e-1, 1e-1, 5e-2),
+        stabilize=True,
+    )
+    rows = run_experiment(cfg)
+    assert not [r.note for r in rows if r.note.startswith("error")]
+    assert projected_kinds == ["target_input", "pe_gaussian_noise"]
+    assert len(fits) == 6
+    # the noise fits are unstable, so the repair runs on them
+    assert repairs
+    for key, pairs in repairs.items():
+        assert pairs is fits[key][0]
+    for (kind, _), (pairs, basis) in fits.items():
+        expected = project_pairs(make_pairs(trajs[kind]), basis.modes)
+        for got, want in ((pairs.x0, expected.x0), (pairs.x1, expected.x1)):
+            assert got.shape == want.shape == (basis.order, expected.n_pairs)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(pairs.u0, expected.u0)
+        assert np.array_equal(pairs.y0, expected.y0)
 
 
 def test_rows_follow_config_order():

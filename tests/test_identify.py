@@ -16,8 +16,8 @@ from iodmd.identify import (
     to_continuous,
 )
 from iodmd.linalg import Tolerances
-from iodmd.pod import pod_basis
-from iodmd.snapshot import SnapshotPairs, TrajectoryData, make_pairs
+from iodmd.pod import PodBasis, pod_basis
+from iodmd.snapshot import SnapshotPairs, TrajectoryData, make_pairs, project_pairs
 from iodmd.plant import simulate_discrete
 
 
@@ -149,7 +149,7 @@ def test_reduced_iodmd_reproduces_projected_dynamics():
     system = random_system(21, n=6, m=1, q=1)
     pairs = pairs_from(system, 21, k=80)
     basis = pod_basis(pairs.x0, 1e-12, mode="relative")
-    model = fit_reduced_iodmd(pairs, basis, Tolerances())
+    model = fit_reduced_iodmd(project_pairs(pairs, basis.modes), basis, Tolerances())
     assert model.order == basis.order
     assert model.basis is basis.modes
     q = basis.modes
@@ -163,8 +163,24 @@ def test_reduced_iodmd_rejects_non_orthonormal_basis():
     pairs = pairs_from(system, 2)
     basis = pod_basis(pairs.x0, 1e-6)
     basis.modes = 2.0 * basis.modes
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not orthonormal"):
+        fit_reduced_iodmd(project_pairs(pairs, basis.modes), basis, Tolerances())
+
+
+def test_reduced_iodmd_needs_pairs_in_basis_coordinates():
+    # full-order pairs next to a reduced basis: one state row per basis column
+    system = random_system(3, n=6)
+    pairs = pairs_from(system, 3)
+    basis = pod_basis(pairs.x0, 1e-1)
+    assert 0 < basis.order < pairs.n_states
+    with pytest.raises(ValueError, match=f"6 states, the basis has {basis.order} columns"):
         fit_reduced_iodmd(pairs, basis, Tolerances())
+    fewer = project_pairs(pairs, basis.modes[:, :-1])
+    with pytest.raises(ValueError, match=f"{basis.order - 1} states, the basis has {basis.order} columns"):
+        fit_reduced_iodmd(fewer, basis, Tolerances())
+    empty = PodBasis(np.zeros((6, 0)), np.zeros(0), 0.0, 0.0)
+    with pytest.raises(ValueError, match="0 states, the basis has 0 columns"):
+        fit_reduced_iodmd(project_pairs(pairs, empty.modes), empty, Tolerances())
 
 
 def test_to_continuous_inverts_explicit_euler():
