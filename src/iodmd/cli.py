@@ -81,6 +81,7 @@ _EXCITATIONS = _arg_type(
         excitations=tuple(t.strip() for t in text.split(",") if t.strip())
     ).excitations
 )
+_SEED = _arg_type(lambda text: ExperimentConfig(seed=int(text)).seed)
 _BUDGETS = _arg_type(
     lambda text: ExperimentConfig(
         projection_budgets=parse_budgets(text)
@@ -113,7 +114,7 @@ def _add_run(subparsers) -> None:
     p.add_argument(
         "--stabilize", action="store_true", help="repair unstable fitted models"
     )
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_SEED, default=42)
     p.add_argument("--out", required=True, help="directory for the CSV tables")
     p.set_defaults(func=_cmd_run)
 
@@ -162,8 +163,16 @@ def _add_identify(subparsers) -> None:
     p.set_defaults(func=_cmd_identify)
 
 
+def _read(load, path):
+    """``load(path)``, or a one-line exit naming the file it could not read."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read {path}: {exc}") from None
+
+
 def _cmd_identify(args) -> int:
-    traj = load_trajectory_csv(args.data)
+    traj = _read(load_trajectory_csv, args.data)
     basis = pod_basis(traj.states, args.budget, mode=args.budget_mode)
     pairs = project_pairs(make_pairs(traj), basis.modes)
     model = fit_reduced_iodmd(pairs, basis, Tolerances(svd_truncation_eps=args.reg_eps))
@@ -188,9 +197,14 @@ def _add_stabilize(subparsers) -> None:
 
 
 def _cmd_stabilize(args) -> int:
-    model = load_model_json(args.model)
-    traj = load_trajectory_csv(args.data)
+    model = _read(load_model_json, args.model)
+    traj = _read(load_trajectory_csv, args.data)
     pairs = make_pairs(traj)
+    if (pairs.n_inputs, pairs.n_outputs) != (model.n_inputs, model.n_outputs):
+        raise SystemExit(
+            f"{args.model} has {model.n_inputs} inputs and {model.n_outputs} "
+            f"outputs, but {args.data} has {pairs.n_inputs} and {pairs.n_outputs}"
+        )
     if pairs.n_states != model.order:
         # full-order data for a reduced model: compress the states with the
         # basis the fit used, which the model file carries

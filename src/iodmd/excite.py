@@ -44,6 +44,9 @@ class ExcitationSpec:
     def __post_init__(self) -> None:
         if self.kind not in _ALL_KINDS:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
+        # numpy's generators take no negative seed
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def target_input(times) -> np.ndarray:

@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ValueError("projection budgets must be strictly decreasing")
         if not self.regularization_eps >= 0.0:
             raise ValueError("regularization_eps must be >= 0")
+        # the spec the sweep builds from the seed checks it
+        ExcitationSpec(kind=EXCITATIONS[self.excitations[0]], seed=self.seed)
 
 
 @dataclass

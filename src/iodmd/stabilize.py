@@ -12,11 +12,10 @@ u0 = [0 I], x1 = [A B] and y0 = [C D], make f the distance ||Z - Z0||^2 to
 that model: the closest-stable-model problem.  The spectral radius is
 nonsmooth, so the line search only requires weak Wolfe conditions and
 secant pairs violating the curvature guard are dropped.
-Eigenvalue-modulus ties, where the single-eigenvalue subgradient stops
-giving descent, are escaped with a min-norm direction over the active
-eigenvalue gradients; if that also fails, a direction that contracts the
-outer eigenvalue moduli through the blocks of the real Schur form is tried
-before the penalty weight is escalated.
+Where the quasi-Newton direction gives no decrease at an infeasible
+iterate, a direction that contracts the outer eigenvalue moduli through
+the blocks of the real Schur form is tried before the penalty weight is
+escalated.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ _FEASIBILITY_MARGIN = 1e-12
 
 # give up escalating the penalty weight beyond this
 _PENALTY_CAP = 1e16
-
-# eigenvalues within this relative window of rho count as tied
-_TIE_WINDOW = 1e-4
 
 # the solve stops at the first feasible iterate whose objective is within
 # this factor of the unrepaired model's
@@ -207,6 +203,7 @@ class _SpectralMemo:
         return value
 
 
+# no caller in the package; bench/tracing.py still times this name
 def _tied_modulus_gradients(
     a: np.ndarray, rho: float, window: float
 ) -> list[np.ndarray] | None:
@@ -260,28 +257,6 @@ def _modulus_clip_shift(a: np.ndarray, target: float) -> np.ndarray | None:
     if not clipped:
         return None
     return q @ t_new @ q.T - a
-
-
-def _min_norm_in_hull(vectors: list[np.ndarray]) -> np.ndarray:
-    """Minimum-norm convex combination, by Frank-Wolfe on the simplex."""
-    g = np.stack([vec.ravel() for vec in vectors])
-    gram = g @ g.T
-    k = g.shape[0]
-    w = np.full(k, 1.0 / k)
-    for _ in range(200):
-        grad_w = gram @ w
-        j = int(np.argmin(grad_w))
-        gap = float(w @ grad_w) - float(grad_w[j])
-        if gap <= 1e-14 * max(1.0, float(w @ grad_w)):
-            break
-        d = -w.copy()
-        d[j] += 1.0
-        denom = float(d @ gram @ d)
-        if denom <= 0.0:
-            break
-        step = min(1.0, gap / denom)
-        w = w + step * d
-    return (w @ g).reshape(vectors[0].shape)
 
 
 class _InverseHessian:
@@ -426,27 +401,6 @@ def stabilize(
             g = g + mu * grad
         return g
 
-    def tie_direction(z: np.ndarray, violation: float) -> np.ndarray | None:
-        """Min-norm subgradient over tied eigenvalue pieces, negated.
-
-        The modulus window widens with the violation so a whole shell of
-        unstable eigenvalues is pushed coherently instead of one at a time.
-        """
-        if violation <= 0.0:
-            return None
-        rho = violation + boundary
-        window = min(0.3, max(_TIE_WINDOW, violation / rho))
-        grads_a = _tied_modulus_gradients(z[:order, :order], rho, window)
-        if grads_a is None or len(grads_a) < 2:
-            return None
-        gf = objective.gradient(z)
-        pieces = []
-        for grad_a in grads_a:
-            piece = gf.copy()
-            piece[:order, :order] += mu * grad_a
-            pieces.append(piece)
-        return -_min_norm_in_hull(pieces)
-
     z_cur = z0.copy()
     phi_z, f_z, rho_z, violation_z = phi_and_parts(z_cur)
     g = grad_phi(z_cur)
@@ -506,15 +460,6 @@ def stabilize(
                 break
 
         t, phi_new, ok = try_direction(p, slope)
-        if not ok:
-            # The single-eigenvalue subgradient gives no descent at a
-            # modulus tie; retry along the min-norm tie direction.
-            p_tie = tie_direction(z_cur, violation_z)
-            if p_tie is not None:
-                slope = -float(np.sum(p_tie * p_tie))
-                if slope < 0.0:
-                    t, phi_new, ok = try_direction(p_tie, slope)
-                    p = p_tie
         if not ok and violation_z > 0.0:
             # Last resort direction: contract the outer eigenvalue moduli
             # through the real Schur blocks.  Unit step lands rho on the 0.99

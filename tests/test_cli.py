@@ -266,6 +266,8 @@ def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
          "svd_truncation_eps must be >= 0"),
         (["run", "--reg-eps", "-Infinity", "--out", "{out}"],
          "svd_truncation_eps must be >= 0"),
+        (["run", "--seed", "-1", "--excitations", "pe_noise", "--budgets", "1e-1",
+          "--out", "{out}"], "seed must be nonnegative"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_file_is_touched(
@@ -281,3 +283,40 @@ def test_bad_values_are_usage_errors_before_any_file_is_touched(
     assert f"iodmd {argv[0]}: error: argument" in err
     assert message in err
     assert not out.exists()
+
+
+def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
+    data = tmp_path / "traj.csv"
+    rng = np.random.default_rng(0)
+    # three states, two inputs, one output
+    save_trajectory_csv(
+        TrajectoryData(
+            states=rng.standard_normal((3, 6)),
+            inputs=rng.standard_normal((2, 6)),
+            outputs=rng.standard_normal((1, 6)),
+            step_width=0.1,
+        ),
+        data,
+    )
+    one_input = tmp_path / "model.json"
+    save_model_json(
+        StateSpaceModel(a=1.1 * np.eye(3), b=np.ones((3, 1)), c=np.ones((1, 3))), one_input
+    )
+    missing = tmp_path / "missing"
+    out = tmp_path / "out.json"
+    cases = [
+        (["identify", "--data", str(missing), "--budget", "1e-1"], str(missing)),
+        (["stabilize", "--model", str(missing), "--data", str(data)], str(missing)),
+        (
+            ["stabilize", "--model", str(one_input), "--data", str(data)],
+            "has 1 inputs and 1 outputs, but",
+        ),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        # a string code: Python prints it as one line and exits 1
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert message in exc.value.code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()

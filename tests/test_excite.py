@@ -37,6 +37,13 @@ def test_excitation_spec_rejects_unknown_kind():
         ExcitationSpec(kind="chirp")
 
 
+def test_excitation_spec_rejects_a_negative_seed():
+    # numpy's generators reject it too, but only once the signal is drawn
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        ExcitationSpec(kind="pe_gaussian_noise", seed=-1)
+    assert ExcitationSpec(kind="pe_gaussian_noise", seed=0).seed == 0
+
+
 def test_pe_noise_is_seed_reproducible(plant):
     spec = ExcitationSpec(kind="pe_gaussian_noise", seed=3)
     a = excite_pe(plant, spec, T=0.2, dt=0.01)

@@ -36,6 +36,9 @@ def test_config_validation():
         ExperimentConfig(projection_budgets=(1e-1, 0.0))
     with pytest.raises(ValueError):
         ExperimentConfig(regularization_eps=-1e-9)
+    # rejected up front, even for a sweep with no random excitation
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        ExperimentConfig(excitations=("target",), seed=-1)
     assert len(ExperimentConfig().projection_budgets) == 8
     assert ExperimentConfig().excitations == tuple(EXCITATIONS)
 

@@ -58,6 +58,16 @@ def noisy_unstable_fit(seed, order=5, k=60, rho_target=1.3):
     return model, pairs
 
 
+def tied_rotation_model(rho=1.2):
+    """Two 2x2 rotation blocks scaled to rho: four eigenvalues tied in modulus."""
+    blocks = []
+    for angle in (0.3, 1.0):
+        c, s = np.cos(angle), np.sin(angle)
+        blocks.append(rho * np.array([[c, -s], [s, c]]))
+    a = np.block([[blocks[0], np.zeros((2, 2))], [np.zeros((2, 2)), blocks[1]]])
+    return StateSpaceModel(a=a, b=np.ones((4, 1)), c=np.ones((1, 4)))
+
+
 def data_misfit(model, pairs):
     data = np.vstack([pairs.x0, pairs.u0]) if pairs.n_inputs else pairs.x0
     target = (
@@ -312,3 +322,26 @@ def test_back_to_back_solves_match_solo_solves():
     for (out_a, rep_a), (out_b, rep_b) in zip(first, again):
         assert np.array_equal(out_a.blocks(), out_b.blocks())
         assert rep_a == rep_b
+
+
+def test_tied_unstable_moduli_are_repaired():
+    model = tied_rotation_model()
+    out, report = stabilize(model, closest_model_pairs(model))
+    rho = spectral_radius(out.a)
+    assert rho < 1.0 - 1e-12
+    assert report.final_spectral_radius == pytest.approx(rho, abs=1e-9)
+    # about as close as rescaling A onto the unit circle, the repair that
+    # moves all four tied eigenvalues the same way
+    rescale = np.linalg.norm(model.a) * (1.0 - 1.0 / 1.2) / np.linalg.norm(model.blocks())
+    assert report.relative_model_change <= 1.05 * rescale
+
+
+def test_repair_never_needs_the_tied_gradients(monkeypatch):
+    def unused(*args):
+        raise AssertionError("tied-modulus gradients were computed")
+
+    monkeypatch.setattr(stabilize_module, "_tied_modulus_gradients", unused)
+    tied = tied_rotation_model()
+    for model, pairs in (noisy_unstable_fit(0), (tied, closest_model_pairs(tied))):
+        out, _ = stabilize(model, pairs)
+        assert spectral_radius(out.a) < 1.0
