@@ -92,8 +92,8 @@ class StateSpaceModel:
         if self.time_domain not in ("discrete", "continuous"):
             raise ValueError(f"unknown time_domain {self.time_domain!r}")
         if self.time_domain == "discrete":
-            if self.step_width is None or self.step_width <= 0:
-                raise ValueError("discrete models need a positive step_width")
+            if self.step_width is None or not 0 < self.step_width < np.inf:
+                raise ValueError("discrete models need a positive finite step_width")
         else:
             self.step_width = None
 
@@ -123,13 +123,22 @@ def _stacked_data(pairs: SnapshotPairs) -> tuple[np.ndarray, np.ndarray]:
     return data, target
 
 
-def _split_blocks(g: np.ndarray, n: int, pairs: SnapshotPairs, underdetermined: bool) -> StateSpaceModel:
+def _split_blocks(
+    g: np.ndarray,
+    n: int,
+    step_width: float | None,
+    basis: np.ndarray | None = None,
+    underdetermined: bool = False,
+) -> StateSpaceModel:
+    """The discrete model whose stacked operator [A B; C D] is ``g``, with A
+    of order ``n``; an unknown step width becomes 1."""
     return StateSpaceModel(
         a=g[:n, :n],
         b=g[:n, n:],
         c=g[n:, :n],
         d=g[n:, n:],
-        step_width=pairs.step_width if pairs.step_width is not None else 1.0,
+        step_width=1.0 if step_width is None else step_width,
+        basis=basis,
         underdetermined=underdetermined,
     )
 
@@ -153,9 +162,7 @@ def fit_dmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
             "retained singular values include exact zeros; raise svd_truncation_eps"
         )
     a = svd.left_vectors.T @ pairs.x1 @ svd.right_vectors / svd.singular_values
-    model = _split_blocks(a, svd.rank, pairs, underdetermined=False)
-    model.basis = svd.left_vectors
-    return model
+    return _split_blocks(a, svd.rank, pairs.step_width, basis=svd.left_vectors)
 
 
 def fit_iodmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
@@ -166,7 +173,9 @@ def fit_iodmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
     """
     data, target = _stacked_data(pairs)
     g, rank = pinv_apply(data, tol.svd_truncation_eps, target)
-    return _split_blocks(g, pairs.n_states, pairs, underdetermined=rank < data.shape[0])
+    return _split_blocks(
+        g, pairs.n_states, pairs.step_width, underdetermined=rank < data.shape[0]
+    )
 
 
 def fit_reduced_iodmd(
@@ -234,18 +243,33 @@ def load_model_json(path) -> StateSpaceModel:
     """Read a model written by ``save_model_json``.
 
     Files without ``basis`` or ``underdetermined`` load with no basis and
-    the flag unset.
+    the flag unset. A non-finite entry (NaN, infinity or null) raises a
+    ValueError that names its block.
     """
     doc = json.loads(Path(path).read_text())
     r, m, p = doc["order"], doc["m"], doc["p"]
-    basis = doc.get("basis")
+    shapes = {"A": (r, r), "B": (r, m), "C": (p, r), "D": (p, m)}
+    if doc.get("basis") is not None:
+        shapes["basis"] = (-1, r)
+    blocks = {
+        name: np.asarray(doc[name], dtype=float).reshape(shape)
+        for name, shape in shapes.items()
+    }
+    for name, block in blocks.items():
+        bad = np.argwhere(~np.isfinite(block))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"{path}: block {name} has non-finite entry {float(block[i, j])!r} "
+                f"at ({i}, {j})"
+            )
     return StateSpaceModel(
-        a=np.asarray(doc["A"], dtype=float).reshape(r, r),
-        b=np.asarray(doc["B"], dtype=float).reshape(r, m),
-        c=np.asarray(doc["C"], dtype=float).reshape(p, r),
-        d=np.asarray(doc["D"], dtype=float).reshape(p, m),
+        a=blocks["A"],
+        b=blocks["B"],
+        c=blocks["C"],
+        d=blocks["D"],
         time_domain=doc["time_domain"],
         step_width=doc["step_width"],
-        basis=None if basis is None else np.asarray(basis, dtype=float).reshape(-1, r),
+        basis=blocks.get("basis"),
         underdetermined=bool(doc.get("underdetermined", False)),
     )

@@ -119,7 +119,7 @@ def pinv_apply(m, eps: float, rhs) -> tuple[np.ndarray, int]:
     counts the singular values that were inverted. For eps = 0 the solution
     is the minimum-Frobenius-norm least-squares solution G of
     ``G @ m ~ rhs``; singular values at machine-zero level are never
-    inverted.
+    inverted. Non-finite entries in ``m`` or ``rhs`` raise ValueError.
     """
     a = _as_real_matrix(m, "m")
     b = _as_real_matrix(rhs, "rhs")
@@ -127,6 +127,8 @@ def pinv_apply(m, eps: float, rhs) -> tuple[np.ndarray, int]:
         raise ValueError(
             f"rhs has {b.shape[1]} columns, expected {a.shape[1]} to match m"
         )
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs contains non-finite entries")
     svd = truncated_svd(a, eps)
     rank = min(svd.rank, machine_rank(svd.singular_values, max(a.shape)))
     if rank == 0:

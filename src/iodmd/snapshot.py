@@ -200,7 +200,8 @@ def save_trajectory_csv(traj: TrajectoryData, path) -> None:
 def load_trajectory_csv(path) -> TrajectoryData:
     """Read a trajectory written by :func:`save_trajectory_csv`.
 
-    The header must be exactly ``t,x1..xN,u1..uM,y1..yQ`` in that order.
+    The header must be exactly ``t,x1..xN,u1..uM,y1..yQ`` in that order,
+    and every value finite.
     """
     path = Path(path)
     with open(path) as fh:
@@ -217,6 +218,13 @@ def load_trajectory_csv(path) -> TrajectoryData:
             f"{path}: rows have {data.shape[1]} values, header {header!r} "
             f"names {len(names)}"
         )
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        k, j = bad[0]
+        raise ValueError(
+            f"{path}: non-finite value {float(data[k, j])!r} in column {names[j]} "
+            f"(line {k + 2})"
+        )
     if data.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 samples to recover the step width")
     t = data[:, 0]
@@ -228,8 +236,8 @@ def load_trajectory_csv(path) -> TrajectoryData:
     if len(off):
         k = int(off[0])
         raise ValueError(
-            f"{path}: sample {k} (line {k + 2}) at t = {t[k]!r} breaks the "
-            f"uniform increasing time grid t = {t[0]!r} + k * {step!r}"
+            f"{path}: sample {k} (line {k + 2}) at t = {float(t[k])!r} breaks the "
+            f"uniform increasing time grid t = {float(t[0])!r} + k * {step!r}"
         )
     return TrajectoryData(
         states=data[:, 1 : 1 + n].T,

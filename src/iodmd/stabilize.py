@@ -12,10 +12,17 @@ u0 = [0 I], x1 = [A B] and y0 = [C D], make f the distance ||Z - Z0||^2 to
 that model: the closest-stable-model problem.  The spectral radius is
 nonsmooth, so the line search only requires weak Wolfe conditions and
 secant pairs violating the curvature guard are dropped.
-Where the quasi-Newton direction gives no decrease at an infeasible
-iterate, a direction that contracts the outer eigenvalue moduli through
-the blocks of the real Schur form is tried before the penalty weight is
-escalated.
+
+Each decision has one path.  A step whose line search finds no decrease
+(a direction that does not descend counts as one) is retried at an
+infeasible iterate along a clip of the outer real Schur blocks onto a
+radius inside the disk; when that fails too, or five steps in a row stall,
+mu grows tenfold while the iterate is infeasible and mu is below its cap,
+and otherwise the solve stops.  Each remaining escape fires on the
+benchmark and has a test that fails without it: the shift that gives a
+defective dominant eigenvalue a nearby gradient, the Schur clip, the line
+search's strict-decrease pass, and the polish's boundary snap and segment
+pullback.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import pathlib
 import numpy as np
 import scipy.linalg
 
-from .identify import StateSpaceModel, _stacked_data
+from .identify import StateSpaceModel, _split_blocks, _stacked_data
 from .linalg import spectral_radius, spectral_radius_gradient
 from .snapshot import SnapshotPairs
 
@@ -113,21 +120,17 @@ class NotStabilizedError(RuntimeError):
 def _check_inputs(model: StateSpaceModel, pairs: SnapshotPairs) -> None:
     if model.time_domain != "discrete":
         raise ValueError("stabilization operates on discrete-time models")
-    if pairs.n_states != model.order:
+    dims = (model.order, model.n_inputs, model.n_outputs)
+    data_dims = (pairs.n_states, pairs.n_inputs, pairs.n_outputs)
+    if data_dims != dims:
         raise ValueError(
-            f"snapshot state dimension {pairs.n_states} does not match "
-            f"model order {model.order}"
+            f"snapshot pairs have (states, inputs, outputs) = {data_dims}, "
+            f"the model has {dims}"
         )
-    if pairs.n_inputs != model.n_inputs:
-        raise ValueError(
-            f"input dimension {pairs.n_inputs} does not match model "
-            f"inputs {model.n_inputs}"
-        )
-    if pairs.n_outputs != model.n_outputs:
-        raise ValueError(
-            f"output dimension {pairs.n_outputs} does not match model "
-            f"outputs {model.n_outputs}"
-        )
+    if not all(np.all(np.isfinite(m)) for m in (model.a, model.b, model.c, model.d)):
+        raise ValueError("model blocks contain non-finite entries")
+    if not all(np.all(np.isfinite(m)) for m in (pairs.x0, pairs.x1, pairs.u0, pairs.y0)):
+        raise ValueError("snapshot pairs contain non-finite entries")
 
 
 class _Objective:
@@ -263,9 +266,6 @@ class _InverseHessian:
     """Limited-memory BFGS inverse Hessian over the _MEMORY newest secant pairs."""
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         self.pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
         self.scale = 1.0
 
@@ -352,34 +352,53 @@ def stabilize(
     z0 = model.blocks()
     boundary = 1.0 - config.tau
     memo = _SpectralMemo()
-    rho0 = memo.radius(z0[:order, :order])
-
-    def wrap(z: np.ndarray) -> StateSpaceModel:
-        return StateSpaceModel(
-            a=z[:order, :order].copy(),
-            b=z[:order, order:].copy(),
-            c=z[order:, :order].copy(),
-            d=z[order:, order:].copy(),
-            time_domain="discrete",
-            step_width=model.step_width,
-            basis=model.basis,
-        )
-
-    if rho0 < boundary - _FEASIBILITY_MARGIN:
-        report = StabilizeReport(
-            iterations_total=0,
-            iterations_to_first_stable=0,
-            final_objective_ratio=1.0,
-            final_spectral_radius=rho0,
-            relative_model_change=0.0,
-            converged=True,
-        )
-        return wrap(z0), report
-
     objective = _Objective(pairs)
     f0 = objective.value(z0)
     budget = _OBJECTIVE_BUDGET_FACTOR * f0
+    if memo.radius(z0[:order, :order]) < boundary - _FEASIBILITY_MARGIN:
+        z, stable, iterations, first_stable = z0, True, 0, 0
+    else:
+        z, stable, iterations, first_stable = _penalty_solve(
+            z0, order, objective, memo, boundary, budget
+        )
+
+    f = objective.value(z)
+    rho = memo.radius(z[:order, :order])
+    change = float(np.linalg.norm(z - z0))
     z0_norm = float(np.linalg.norm(z0))
+    report = StabilizeReport(
+        iterations_total=iterations,
+        iterations_to_first_stable=first_stable,
+        final_objective_ratio=f / f0 if f0 > 0.0 else (1.0 if f == 0.0 else np.inf),
+        final_spectral_radius=rho,
+        relative_model_change=change / z0_norm if z0_norm > 0.0 else change,
+        converged=stable and f <= budget,
+    )
+    repaired = _split_blocks(z, order, model.step_width, model.basis)
+    if not stable:
+        raise NotStabilizedError(
+            f"no iterate reached spectral radius below {boundary} "
+            f"(best {rho:.6g} after {iterations} iterations)",
+            repaired,
+            report,
+        )
+    return repaired, report
+
+
+def _penalty_solve(
+    z0: np.ndarray,
+    order: int,
+    objective: _Objective,
+    memo: _SpectralMemo,
+    boundary: float,
+    budget: float,
+) -> tuple[np.ndarray, bool, int, int]:
+    """Minimize the penalty from the unstable operator z0, then polish.
+
+    Returns (z, stable, iterations, first_stable): the feasible point of
+    least objective, else the iterate of least spectral radius, and the
+    iteration that first reached a feasible point (-1 if none did).
+    """
     mu = _INITIAL_PENALTY
 
     def penalty_terms(z: np.ndarray) -> tuple[float, float]:
@@ -412,16 +431,6 @@ def stabilize(
     best_rho_z = z_cur.copy()
     first_stable = -1
     stall_count = 0
-    iterations = 0
-    converged = False
-
-    def escalate() -> None:
-        # stationary but infeasible: the penalty weight was too small
-        nonlocal mu, phi_z, g, stall_count
-        mu *= 10.0
-        stall_count = 0
-        phi_z = f_z + mu * violation_z
-        g = grad_phi(z_cur)
 
     def try_direction(p: np.ndarray, slope: float):
         c0, c1, c2 = objective.along(z_cur, p)
@@ -445,21 +454,12 @@ def stabilize(
 
         return _line_search(phi_at, slope_at, phi_z, slope)
 
-    for iteration in range(1, _MAX_ITERATIONS + 1):
-        iterations = iteration
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         p = -hessian.apply(g.ravel()).reshape(z_cur.shape)
         slope = float(g.ravel() @ p.ravel())
-        if not np.isfinite(slope) or slope >= 0.0:
-            hessian.reset()
-            p = -g
-            slope = float(g.ravel() @ p.ravel())
-            if slope >= 0.0:
-                if violation_z > 0.0 and mu < _PENALTY_CAP:
-                    escalate()
-                    continue
-                break
-
-        t, phi_new, ok = try_direction(p, slope)
+        ok = -np.inf < slope < 0.0  # a non-descent direction fails the search
+        if ok:
+            t, phi_new, ok = try_direction(p, slope)
         if not ok and violation_z > 0.0:
             # Last resort direction: contract the outer eigenvalue moduli
             # through the real Schur blocks.  Unit step lands rho on the 0.99
@@ -467,49 +467,45 @@ def stabilize(
             # violation falls to zero and sufficiently large mu accepts it.
             shift = _modulus_clip_shift(z_cur[:order, :order], 0.99 * boundary)
             if shift is not None:
-                p_clip = np.zeros_like(z_cur)
-                p_clip[:order, :order] = shift
-                slope = -1e-12 * max(1.0, abs(phi_z))
-                t, phi_new, ok = try_direction(p_clip, slope)
-                p = p_clip
-        if not ok:
-            # no decrease in any tried direction: stationary for this mu
-            if violation_z > 0.0 and mu < _PENALTY_CAP:
-                escalate()
+                p = np.zeros_like(z_cur)
+                p[:order, :order] = shift
+                t, phi_new, ok = try_direction(p, -1e-12 * max(1.0, abs(phi_z)))
+
+        if ok:
+            z_new = z_cur + t * p
+            g_new = grad_phi(z_new)
+            hessian.update(t * p.ravel(), (g_new - g).ravel())
+
+            decrease = phi_z - phi_new
+            z_cur, g = z_new, g_new
+            phi_z, f_z, rho_z, violation_z = phi_and_parts(z_cur)
+
+            if rho_z < best_rho:
+                best_rho = rho_z
+                best_rho_z = z_cur.copy()
+            if rho_z <= boundary - _FEASIBILITY_MARGIN:
+                if first_stable < 0:
+                    first_stable = iterations
+                if f_z < best_feasible_f:
+                    best_feasible_f = f_z
+                    best_feasible = z_cur.copy()
+                if f_z <= budget:
+                    break
+
+            if decrease <= _OPT_TOL * max(1.0, abs(phi_z)):
+                stall_count += 1
+            else:
+                stall_count = 0
+            if stall_count < 5:
                 continue
+        # no decrease in any tried direction, or five stalled steps: the
+        # iterate is stationary for this mu, which is too small if infeasible
+        if not (violation_z > 0.0 and mu < _PENALTY_CAP):
             break
-
-        z_new = z_cur + t * p
-        g_new = grad_phi(z_new)
-        hessian.update(t * p.ravel(), (g_new - g).ravel())
-
-        decrease = phi_z - phi_new
-        z_cur, g = z_new, g_new
-        phi_z, f_z, rho_z, violation_z = phi_and_parts(z_cur)
-
-        if rho_z < best_rho:
-            best_rho = rho_z
-            best_rho_z = z_cur.copy()
-        feasible = rho_z <= boundary - _FEASIBILITY_MARGIN
-        if feasible:
-            if first_stable < 0:
-                first_stable = iteration
-            if f_z < best_feasible_f:
-                best_feasible_f = f_z
-                best_feasible = z_cur.copy()
-            if f_z <= budget:
-                converged = True
-                break
-
-        if decrease <= _OPT_TOL * max(1.0, abs(phi_z)):
-            stall_count += 1
-        else:
-            stall_count = 0
-        if stall_count >= 5:
-            if violation_z > 0.0 and mu < _PENALTY_CAP:
-                escalate()
-                continue
-            break
+        mu *= 10.0
+        stall_count = 0
+        phi_z = f_z + mu * violation_z
+        g = grad_phi(z_cur)
 
     # Final polish.  Boundary snap: iterates often terminate on or just
     # outside the stability boundary (the penalty kink); scaling the A block
@@ -554,44 +550,8 @@ def stabilize(
             best_feasible = pulled
 
     if best_feasible is None:
-        best_z = best_rho_z
-        report = StabilizeReport(
-            iterations_total=iterations,
-            iterations_to_first_stable=first_stable,
-            final_objective_ratio=_ratio(objective.value(best_z), f0),
-            final_spectral_radius=best_rho,
-            relative_model_change=_relative_change(best_z, z0, z0_norm),
-            converged=False,
-        )
-        raise NotStabilizedError(
-            f"no iterate reached spectral radius below {boundary} "
-            f"(best {best_rho:.6g} after {iterations} iterations)",
-            wrap(best_z),
-            report,
-        )
-
-    final_f = best_feasible_f
-    final_rho = memo.radius(best_feasible[:order, :order])
-    report = StabilizeReport(
-        iterations_total=iterations,
-        iterations_to_first_stable=first_stable,
-        final_objective_ratio=_ratio(final_f, f0),
-        final_spectral_radius=final_rho,
-        relative_model_change=_relative_change(best_feasible, z0, z0_norm),
-        converged=converged or final_f <= budget,
-    )
-    return wrap(best_feasible), report
-
-
-def _ratio(f: float, f0: float) -> float:
-    if f0 > 0.0:
-        return f / f0
-    return 1.0 if f == 0.0 else np.inf
-
-
-def _relative_change(z: np.ndarray, z0: np.ndarray, z0_norm: float) -> float:
-    change = float(np.linalg.norm(z - z0))
-    return change / z0_norm if z0_norm > 0.0 else change
+        return best_rho_z, False, iterations, first_stable
+    return best_feasible, True, iterations, first_stable
 
 
 def save_report_json(report: StabilizeReport, path: str | pathlib.Path) -> None:

@@ -286,22 +286,26 @@ def test_bad_values_are_usage_errors_before_any_file_is_touched(
 
 
 def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
-    data = tmp_path / "traj.csv"
     rng = np.random.default_rng(0)
     # three states, two inputs, one output
-    save_trajectory_csv(
-        TrajectoryData(
-            states=rng.standard_normal((3, 6)),
-            inputs=rng.standard_normal((2, 6)),
-            outputs=rng.standard_normal((1, 6)),
-            step_width=0.1,
-        ),
-        data,
+    traj = TrajectoryData(
+        states=rng.standard_normal((3, 6)),
+        inputs=rng.standard_normal((2, 6)),
+        outputs=rng.standard_normal((1, 6)),
+        step_width=0.1,
     )
-    one_input = tmp_path / "model.json"
-    save_model_json(
-        StateSpaceModel(a=1.1 * np.eye(3), b=np.ones((3, 1)), c=np.ones((1, 3))), one_input
-    )
+    data, nan_state, inf_output = (tmp_path / f"{n}.csv" for n in ("traj", "nan", "inf"))
+    save_trajectory_csv(traj, data)
+    traj.states[1, 2] = np.nan
+    save_trajectory_csv(traj, nan_state)
+    traj.states[1, 2] = 0.0
+    traj.outputs[0, 4] = np.inf
+    save_trajectory_csv(traj, inf_output)
+    one_input, nan_model = tmp_path / "model.json", tmp_path / "nan.json"
+    a = 1.1 * np.eye(3)
+    save_model_json(StateSpaceModel(a=a, b=np.ones((3, 1)), c=np.ones((1, 3))), one_input)
+    a[2, 1] = np.nan
+    save_model_json(StateSpaceModel(a=a, b=np.ones((3, 2)), c=np.ones((1, 3))), nan_model)
     missing = tmp_path / "missing"
     out = tmp_path / "out.json"
     cases = [
@@ -310,6 +314,19 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
         (
             ["stabilize", "--model", str(one_input), "--data", str(data)],
             "has 1 inputs and 1 outputs, but",
+        ),
+        # non-finite values: the loaders name the first one
+        (
+            ["identify", "--data", str(nan_state), "--budget", "1e-1"],
+            f"cannot read {nan_state}: {nan_state}: non-finite value nan in column x2 (line 4)",
+        ),
+        (
+            ["identify", "--data", str(inf_output), "--budget", "1e-1"],
+            f"cannot read {inf_output}: {inf_output}: non-finite value inf in column y1 (line 6)",
+        ),
+        (
+            ["stabilize", "--model", str(nan_model), "--data", str(data)],
+            f"cannot read {nan_model}: {nan_model}: block A has non-finite entry nan at (2, 1)",
         ),
     ]
     for argv, message in cases:

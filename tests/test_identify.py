@@ -237,7 +237,8 @@ def test_state_space_model_validation():
         StateSpaceModel(a=np.eye(2), c=np.ones((1, 3)), time_domain="continuous")
     with pytest.raises(ValueError):
         StateSpaceModel(a=np.eye(2), time_domain="hybrid")
-    with pytest.raises(ValueError):
-        StateSpaceModel(a=np.eye(2), step_width=0.0)
+    for step in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive finite step_width"):
+            StateSpaceModel(a=np.eye(2), step_width=step)
     blocks = StateSpaceModel(a=np.eye(2), b=np.ones((2, 1))).blocks()
     assert blocks.shape == (2, 3)

@@ -55,6 +55,14 @@ def test_truncated_svd_rejects_bad_input():
         truncated_svd(np.ones(3), eps=0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pinv_apply_rejects_non_finite_rhs(value):
+    rhs = random_matrix(3, (3, 9))
+    rhs[2, 4] = value
+    with pytest.raises(ValueError, match="rhs contains non-finite"):
+        pinv_apply(random_matrix(2, (4, 9)), 0.0, rhs)
+
+
 def test_machine_rank_counts_informative_values():
     s = np.array([1.0, 1e-3, 1e-18])
     assert machine_rank(s, 10) == 2

@@ -17,6 +17,7 @@ from iodmd.stabilize import (
     StabilizeConfig,
     StabilizeReport,
     _InverseHessian,
+    _line_search,
     _modulus_clip_shift,
     save_report_json,
     stabilize,
@@ -178,11 +179,24 @@ def test_input_validation():
     with pytest.raises(ValueError):
         stabilize(continuous, autonomous_pairs(1.05))
     wrong_dim = SnapshotPairs(x0=np.ones((2, 4)), x1=np.ones((2, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(2, 0, 0\), the model has \(1, 0, 0\)"):
         stabilize(model, wrong_dim)
     with_inputs = StateSpaceModel(a=[[1.05]], b=[[1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\), the model has \(1, 1, 0\)"):
         stabilize(with_inputs, autonomous_pairs(1.05))  # pairs carry no inputs
+
+
+@pytest.mark.parametrize("where", ["a", "d", "x1", "y0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_inputs_stop_before_the_first_iteration(monkeypatch, where, value):
+    def never(a):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(stabilize_module, "spectral_radius", never)
+    model, pairs = noisy_unstable_fit(0)
+    getattr(model if where in ("a", "d") else pairs, where)[0, 0] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        stabilize(model, pairs)
 
 
 def test_config_validation():
@@ -250,6 +264,28 @@ def test_modulus_clip_lands_the_spectrum_on_the_target():
         inside = a * (0.5 * target / spectral_radius(a))
         assert _modulus_clip_shift(inside, target) is None
     assert complex_outer > 50
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pullback_returns_the_stable_point_nearest_the_fit(seed):
+    # The polish pulls the repair back toward the fit along the segment
+    # between them as far as stability allows: the returned A sits on the
+    # boundary, and a step of 0.1% further back leaves the disk.  Without
+    # the pullback rho(A) lands between 0.49 and 0.92 on these fits.
+    model, pairs = noisy_unstable_fit(seed)
+    out, _ = stabilize(model, pairs)
+    assert 1.0 - 1e-6 <= spectral_radius(out.a) < 1.0
+    z0 = model.blocks()
+    back = z0 + 0.999 * (out.blocks() - z0)
+    assert spectral_radius(back[: model.order, : model.order]) > 1.0
+
+
+def test_line_search_takes_a_strict_decrease_the_slope_overstates():
+    # At a kink the claimed slope (-1) promises far more decrease than phi
+    # gives (-1e-6 per unit step), so no step meets the Armijo condition;
+    # the strict-decrease pass still takes the unit step, which lowers phi.
+    t, phi_t, ok = _line_search(lambda t: 1.0 - 1e-6 * t, lambda t: -1e-6, 1.0, -1.0)
+    assert (t, phi_t, ok) == (1.0, 0.999999, True)
 
 
 def textbook_bfgs_update(h, s, y):
