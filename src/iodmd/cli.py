@@ -198,6 +198,11 @@ def _add_stabilize(subparsers) -> None:
 
 def _cmd_stabilize(args) -> int:
     model = _read(load_model_json, args.model)
+    if model.time_domain != "discrete":
+        raise SystemExit(
+            f"{args.model} holds a {model.time_domain}-time model; "
+            "stabilization repairs discrete-time models"
+        )
     traj = _read(load_trajectory_csv, args.data)
     pairs = make_pairs(traj)
     if (pairs.n_inputs, pairs.n_outputs) != (model.n_inputs, model.n_outputs):

@@ -105,22 +105,23 @@ class ExperimentConfig:
 class ExperimentRow:
     """One cell of the sweep: how the model was built and how it scored.
 
-    rho_* are the spectral radii before and after the optional stabilization
-    step; the stabilize_* diagnostics are NaN when no solve ran. note carries
-    failure tags ("not_stabilized", "nonfinite_output", stage errors) and is
-    empty for clean cells.
+    The defaults describe a cell that produced no model: order 0, infinite
+    error, NaN radii. rho_* are the spectral radii before and after the
+    optional stabilization step; the stabilize_* diagnostics are NaN when no
+    solve ran. note carries failure tags ("not_stabilized",
+    "nonfinite_output", stage errors) and is empty for clean cells.
     """
 
     excitation: str
     budget: float
-    reduced_order: int
-    rel_output_error: float
-    stable_before: bool
-    stabilized: bool
-    stabilize_iterations: int
-    wall_time_s: float
-    rho_before: float
-    rho_after: float
+    reduced_order: int = 0
+    rel_output_error: float = float("inf")
+    stable_before: bool = False
+    stabilized: bool = False
+    stabilize_iterations: int = 0
+    wall_time_s: float = 0.0
+    rho_before: float = float("nan")
+    rho_after: float = float("nan")
     stabilize_objective_ratio: float = float("nan")
     stabilize_model_change: float = float("nan")
     note: str = ""
@@ -141,23 +142,6 @@ def _score(model: StateSpaceModel, u_hat: np.ndarray, y_ref: np.ndarray) -> floa
         return relative_output_error(y_ref, y_test)
 
 
-def _failed_row(tag: str, budget: float, note: str, wall_s: float) -> ExperimentRow:
-    nan = float("nan")
-    return ExperimentRow(
-        excitation=tag,
-        budget=budget,
-        reduced_order=0,
-        rel_output_error=float("inf"),
-        stable_before=False,
-        stabilized=False,
-        stabilize_iterations=0,
-        wall_time_s=wall_s,
-        rho_before=nan,
-        rho_after=nan,
-        note=note,
-    )
-
-
 def _run_cell(
     cfg: ExperimentConfig,
     tag: str,
@@ -169,53 +153,33 @@ def _run_cell(
     shared_s: float,
 ) -> ExperimentRow:
     t0 = time.perf_counter()
-    note = ""
-    nan = float("nan")
+    row = ExperimentRow(tag, budget)
     try:
         pairs = replace(projected, x0=projected.x0[: basis.order], x1=projected.x1[: basis.order])
         model = fit_reduced_iodmd(
             pairs, basis, Tolerances(svd_truncation_eps=cfg.regularization_eps)
         )
-        rho_before = spectral_radius(model.a)
-        stable_before = bool(rho_before < 1.0)
-        stabilized = False
-        iterations = 0
-        ratio = nan
-        change = nan
-        rho_after = rho_before
-        if cfg.stabilize and not stable_before:
+        row.reduced_order = model.order
+        row.rho_before = row.rho_after = spectral_radius(model.a)
+        row.stable_before = bool(row.rho_before < 1.0)
+        if cfg.stabilize and not row.stable_before:
             try:
                 model, report = stabilize(model, pairs, StabilizeConfig())
-                stabilized = True
+                row.stabilized = True
             except NotStabilizedError as exc:
                 # keep the unstable fit for scoring, flag the row
-                note = "not_stabilized"
-                report = exc.report
-            iterations = report.iterations_total
-            ratio = report.final_objective_ratio
-            change = report.relative_model_change
-            rho_after = report.final_spectral_radius
-        error = _score(model, u_hat, y_ref)
-        if not np.isfinite(error):
-            note = f"{note};nonfinite_output" if note else "nonfinite_output"
+                row.note, report = "not_stabilized", exc.report
+            row.stabilize_iterations = report.iterations_total
+            row.stabilize_objective_ratio = report.final_objective_ratio
+            row.stabilize_model_change = report.relative_model_change
+            row.rho_after = report.final_spectral_radius
+        row.rel_output_error = _score(model, u_hat, y_ref)
+        if not np.isfinite(row.rel_output_error):
+            row.note = f"{row.note};nonfinite_output" if row.note else "nonfinite_output"
     except Exception as exc:  # noqa: BLE001 - a broken cell must not kill the sweep
-        wall = time.perf_counter() - t0 + shared_s
-        return _failed_row(tag, budget, f"error:{type(exc).__name__}", wall)
-    return ExperimentRow(
-        excitation=tag,
-        budget=budget,
-        reduced_order=model.order,
-        rel_output_error=error,
-        stable_before=stable_before,
-        stabilized=stabilized,
-        stabilize_iterations=iterations,
-        wall_time_s=time.perf_counter() - t0 + shared_s,
-        rho_before=rho_before,
-        rho_after=rho_after,
-        stabilize_objective_ratio=ratio,
-        stabilize_model_change=change,
-        note=note,
-    )
+        row = ExperimentRow(tag, budget, note=f"error:{type(exc).__name__}")
+    row.wall_time_s = time.perf_counter() - t0 + shared_s
+    return row
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
@@ -242,10 +206,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
             projected = project_pairs(make_pairs(traj), widest.modes)
         except Exception as exc:  # noqa: BLE001 - failure becomes row tags
             per = (time.perf_counter() - t_shared) / len(cfg.projection_budgets)
-            return [
-                _failed_row(tag, b, f"error:{type(exc).__name__}", per)
-                for b in cfg.projection_budgets
-            ]
+            note = f"error:{type(exc).__name__}"
+            return [ExperimentRow(tag, b, wall_time_s=per, note=note) for b in cfg.projection_budgets]
         shared = (time.perf_counter() - t_shared) / len(cfg.projection_budgets)
         return [
             _run_cell(cfg, tag, budget, basis, projected, u_hat, y_ref, shared)

@@ -243,18 +243,31 @@ def load_model_json(path) -> StateSpaceModel:
     """Read a model written by ``save_model_json``.
 
     Files without ``basis`` or ``underdetermined`` load with no basis and
-    the flag unset. A non-finite entry (NaN, infinity or null) raises a
-    ValueError that names its block.
+    the flag unset. A missing key, a dimension that is not a nonnegative
+    integer, a block that does not fit its dimensions and a non-finite entry
+    (NaN, infinity or null) each raise a ValueError that names the key.
     """
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, found {type(doc).__name__}")
+    for key in ("order", "m", "p", "time_domain", "step_width", "A", "B", "C", "D"):
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+    for key in ("order", "m", "p"):
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise ValueError(f"{path}: {key!r} must be a nonnegative integer, got {doc[key]!r}")
+    if doc["step_width"] is not None and type(doc["step_width"]) not in (int, float):
+        raise ValueError(f"{path}: 'step_width' must be a number, got {doc['step_width']!r}")
     r, m, p = doc["order"], doc["m"], doc["p"]
     shapes = {"A": (r, r), "B": (r, m), "C": (p, r), "D": (p, m)}
     if doc.get("basis") is not None:
         shapes["basis"] = (-1, r)
-    blocks = {
-        name: np.asarray(doc[name], dtype=float).reshape(shape)
-        for name, shape in shapes.items()
-    }
+    blocks = {}
+    for name, shape in shapes.items():
+        try:
+            blocks[name] = np.asarray(doc[name], dtype=float).reshape(shape)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: block {name} does not reshape to {shape}") from None
     for name, block in blocks.items():
         bad = np.argwhere(~np.isfinite(block))
         if bad.size:

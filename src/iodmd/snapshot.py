@@ -9,6 +9,7 @@ column k of ``x0``. Outputs are aligned with the data equation
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -201,7 +202,7 @@ def load_trajectory_csv(path) -> TrajectoryData:
     """Read a trajectory written by :func:`save_trajectory_csv`.
 
     The header must be exactly ``t,x1..xN,u1..uM,y1..yQ`` in that order,
-    and every value finite.
+    followed by at least two rows, and every value finite.
     """
     path = Path(path)
     with open(path) as fh:
@@ -212,7 +213,12 @@ def load_trajectory_csv(path) -> TrajectoryData:
             raise ValueError(
                 f"{path}: header {header!r} is not t,x1..xN,u1..uM,y1..yQ"
             )
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # a header without rows is too few samples, reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[0] < 2:
+        raise ValueError(f"{path}: need at least 2 samples to recover the step width")
     if data.shape[1] != len(names):
         raise ValueError(
             f"{path}: rows have {data.shape[1]} values, header {header!r} "
@@ -225,8 +231,6 @@ def load_trajectory_csv(path) -> TrajectoryData:
             f"{path}: non-finite value {float(data[k, j])!r} in column {names[j]} "
             f"(line {k + 2})"
         )
-    if data.shape[0] < 2:
-        raise ValueError(f"{path}: need at least 2 samples to recover the step width")
     t = data[:, 0]
     step = float(t[1] - t[0])
     # every sample must sit on the grid t0 + k*step; the slack absorbs a grid

@@ -19,7 +19,7 @@ from iodmd.snapshot import (
     project_pairs,
     save_trajectory_csv,
 )
-from iodmd.stabilize import StabilizeConfig, StabilizeReport, stabilize
+from iodmd.stabilize import NotStabilizedError, StabilizeConfig, StabilizeReport, stabilize
 
 
 def test_parse_budgets_decade_range():
@@ -175,7 +175,8 @@ def test_identify_absolute_budget_mode(tmp_path):
     assert np.asarray(doc["A"]).shape == (doc["order"], doc["order"])
 
 
-def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
+def write_small_model_and_data(tmp_path):
+    """An unstable order-3 model file and a matching 3-state trajectory CSV."""
     rng = np.random.default_rng(0)
     order, k = 3, 20
     model = StateSpaceModel(
@@ -193,6 +194,11 @@ def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
         outputs=rng.standard_normal((1, k)),
     )
     save_trajectory_csv(traj, data)
+    return model_path, data
+
+
+def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
+    model_path, data = write_small_model_and_data(tmp_path)
     configs = []
 
     def fake_stabilize(model, pairs, config):
@@ -223,6 +229,30 @@ def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
     )
     assert code == 0
     assert configs == [StabilizeConfig(tau=0.1)]
+
+
+def test_a_failed_repair_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    model_path, data = write_small_model_and_data(tmp_path)
+
+    def fail(model, pairs, config):
+        report = StabilizeReport(
+            iterations_total=9,
+            iterations_to_first_stable=-1,
+            final_objective_ratio=2.0,
+            final_spectral_radius=1.2,
+            relative_model_change=0.1,
+            converged=False,
+        )
+        raise NotStabilizedError("no iterate reached spectral radius below 1.0", model, report)
+
+    monkeypatch.setattr(cli, "stabilize", fail)
+    out = tmp_path / "model_s.json"
+    code = main(["stabilize", "--model", str(model_path), "--data", str(data), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "stabilization failed: no iterate reached spectral radius below 1.0\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -306,6 +336,35 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
     save_model_json(StateSpaceModel(a=a, b=np.ones((3, 1)), c=np.ones((1, 3))), one_input)
     a[2, 1] = np.nan
     save_model_json(StateSpaceModel(a=a, b=np.ones((3, 2)), c=np.ones((1, 3))), nan_model)
+    # malformed model files: a missing key, a fractional order, a list
+    matching = tmp_path / "matching.json"
+    save_model_json(
+        StateSpaceModel(a=1.1 * np.eye(3), b=np.ones((3, 2)), c=np.ones((1, 3))), matching
+    )
+    doc = json.loads(matching.read_text())
+    malformed = {
+        "no_d": {k: v for k, v in doc.items() if k != "D"},
+        "no_step": {k: v for k, v in doc.items() if k != "step_width"},
+        "half_order": {**doc, "order": 1.5},
+        "list": [doc],
+    }
+    for name, edited in malformed.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(edited))
+    continuous, wide_basis = tmp_path / "continuous.json", tmp_path / "wide.json"
+    save_model_json(
+        StateSpaceModel(
+            a=-np.eye(3), b=np.ones((3, 2)), c=np.ones((1, 3)), time_domain="continuous"
+        ),
+        continuous,
+    )
+    save_model_json(
+        StateSpaceModel(
+            a=np.eye(2), b=np.ones((2, 2)), c=np.ones((1, 2)), basis=np.eye(5)[:, :2]
+        ),
+        wide_basis,
+    )
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(data.read_text().splitlines()[0] + "\n")
     missing = tmp_path / "missing"
     out = tmp_path / "out.json"
     cases = [
@@ -327,6 +386,34 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
         (
             ["stabilize", "--model", str(nan_model), "--data", str(data)],
             f"cannot read {nan_model}: {nan_model}: block A has non-finite entry nan at (2, 1)",
+        ),
+        *(
+            (
+                ["stabilize", "--model", str(tmp_path / f"{name}.json"), "--data", str(data)],
+                f"cannot read {tmp_path / name}.json: {tmp_path / name}.json: {message}",
+            )
+            for name, message in (
+                ("no_d", "missing key 'D'"),
+                ("no_step", "missing key 'step_width'"),
+                ("half_order", "'order' must be a nonnegative integer, got 1.5"),
+                ("list", "expected a JSON object, found list"),
+            )
+        ),
+        (
+            ["stabilize", "--model", str(continuous), "--data", str(data)],
+            f"{continuous} holds a continuous-time model",
+        ),
+        (
+            ["stabilize", "--model", str(wide_basis), "--data", str(data)],
+            f"the basis in {wide_basis} has 5 rows, but {data} has 3 states",
+        ),
+        (
+            ["identify", "--data", str(header_only), "--budget", "1e-1"],
+            f"cannot read {header_only}: {header_only}: need at least 2 samples",
+        ),
+        (
+            ["stabilize", "--model", str(matching), "--data", str(header_only)],
+            f"cannot read {header_only}: {header_only}: need at least 2 samples",
         ),
     ]
     for argv, message in cases:

@@ -17,6 +17,7 @@ from iodmd.harness import (
 from iodmd.identify import StateSpaceModel
 from iodmd.plant import simulate_discrete
 from iodmd.snapshot import make_pairs, project_pairs
+from iodmd.stabilize import NotStabilizedError, StabilizeReport
 
 
 def test_config_validation():
@@ -78,6 +79,85 @@ def test_unstable_cell_is_tagged_not_killed():
     assert not rows[0].stable_before
     assert rows[0].note == "nonfinite_output"
     assert np.isinf(rows[0].rel_output_error)
+
+
+def assert_no_model(row, tag, budget, note):
+    """The row of a cell that produced no model still says where it was,
+    why it failed and how long it took."""
+    assert (row.excitation, row.budget, row.note) == (tag, budget, note)
+    assert row.reduced_order == 0 and row.rel_output_error == float("inf")
+    assert not row.stable_before and not row.stabilized
+    assert row.stabilize_iterations == 0
+    assert np.isnan(row.rho_before) and np.isnan(row.rho_after)
+    assert np.isnan(row.stabilize_objective_ratio)
+    assert np.isnan(row.stabilize_model_change)
+    assert row.wall_time_s > 0.0
+
+
+def test_a_stage_error_becomes_a_row_while_the_other_cells_finish(monkeypatch):
+    real_fit = harness.fit_reduced_iodmd
+
+    def fit(pairs, basis, tol):
+        if basis.requested_error == 1e-2:
+            raise np.linalg.LinAlgError("injected")
+        return real_fit(pairs, basis, tol)
+
+    monkeypatch.setattr(harness, "fit_reduced_iodmd", fit)
+    budgets = (1e-1, 1e-2, 1e-3)
+    rows = run_experiment(
+        ExperimentConfig(excitations=("target",), projection_budgets=budgets)
+    )
+    assert [r.note for r in rows] == ["", "error:LinAlgError", ""]
+    assert_no_model(rows[1], "target", 1e-2, "error:LinAlgError")
+    for row in rows[::2]:
+        assert row.reduced_order > 0 and np.isfinite(row.rel_output_error)
+
+
+def test_an_excitation_error_tags_every_budget_of_that_excitation(monkeypatch):
+    real_generate = harness.generate_excitation
+
+    def generate(plant, spec, *rest):
+        if spec.kind == "pe_step":
+            raise RuntimeError("injected")
+        return real_generate(plant, spec, *rest)
+
+    monkeypatch.setattr(harness, "generate_excitation", generate)
+    budgets = (1e-1, 1e-2)
+    rows = run_experiment(
+        ExperimentConfig(excitations=("pe_step", "target"), projection_budgets=budgets)
+    )
+    for row, budget in zip(rows[:2], budgets):
+        assert_no_model(row, "pe_step", budget, "error:RuntimeError")
+    assert [(r.excitation, r.note) for r in rows[2:]] == [("target", "")] * 2
+
+
+def test_a_failed_repair_keeps_the_unstable_fit_and_its_report(monkeypatch):
+    report = StabilizeReport(
+        iterations_total=17,
+        iterations_to_first_stable=-1,
+        final_objective_ratio=3.5,
+        final_spectral_radius=1.01,
+        relative_model_change=0.02,
+        converged=False,
+    )
+
+    def fail(model, pairs, config):
+        raise NotStabilizedError("injected", model, report)
+
+    # the noise fit at budget 1e-1 is unstable, yet its replay stays finite
+    cell = dict(excitations=("pe_noise",), projection_budgets=(1e-1,))
+    (plain,) = run_experiment(ExperimentConfig(**cell))
+    assert not plain.stable_before and plain.note == ""
+    monkeypatch.setattr(harness, "stabilize", fail)
+    (row,) = run_experiment(ExperimentConfig(**cell, stabilize=True))
+    assert row.note == "not_stabilized" and not row.stabilized
+    # scored on the fit itself, with the failed solve's diagnostics
+    for name in ("reduced_order", "stable_before", "rho_before", "rel_output_error"):
+        assert getattr(row, name) == getattr(plain, name)
+    assert row.stabilize_iterations == 17
+    assert row.rho_after == 1.01
+    assert row.stabilize_objective_ratio == 3.5
+    assert row.stabilize_model_change == 0.02
 
 
 def test_score_of_a_finite_but_huge_replay_is_inf_without_warnings():

@@ -228,6 +228,31 @@ def test_model_json_without_basis_loads_as_before(tmp_path):
     assert np.array_equal(back.blocks(), model.blocks())
 
 
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (without("D"), "missing key 'D'"),
+        (without("step_width"), "missing key 'step_width'"),
+        (lambda doc: {**doc, "order": 1.5}, "'order' must be a nonnegative integer, got 1.5"),
+        (lambda doc: {**doc, "step_width": "0.1"}, "'step_width' must be a number, got '0.1'"),
+        (lambda doc: {**doc, "A": doc["A"][:3]}, "block A does not reshape to (4, 4)"),
+        (lambda doc: [doc], "expected a JSON object, found list"),
+    ],
+    ids=["no_d", "no_step_width", "half_order", "string_step_width", "short_a", "list"],
+)
+def test_malformed_model_json_names_the_file_and_the_key(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    save_model_json(random_system(44), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError) as exc:
+        load_model_json(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_state_space_model_validation():
     with pytest.raises(ValueError):
         StateSpaceModel(a=np.ones((2, 3)))

@@ -120,6 +120,15 @@ def test_load_trajectory_rejects_rows_wider_than_the_header(tmp_path):
         load_trajectory_csv(path)
 
 
+@pytest.mark.parametrize("rows", ["", "0,1,2,3\n"])
+def test_load_trajectory_needs_two_rows_without_a_warning(tmp_path, rows):
+    # pytest turns warnings into errors, so a warning would fail this too
+    path = tmp_path / "short.csv"
+    path.write_text("t,x1,u1,y1\n" + rows)
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        load_trajectory_csv(path)
+
+
 @given(
     seed=st.integers(0, 10_000),
     n_states=st.integers(1, 4),

@@ -14,6 +14,7 @@ from iodmd.snapshot import SnapshotPairs
 from iodmd.stabilize import (
     _MEMO_SIZE,
     _MEMORY,
+    NotStabilizedError,
     StabilizeConfig,
     StabilizeReport,
     _InverseHessian,
@@ -197,6 +198,23 @@ def test_non_finite_inputs_stop_before_the_first_iteration(monkeypatch, where, v
     getattr(model if where in ("a", "d") else pairs, where)[0, 0] = value
     with pytest.raises(ValueError, match="non-finite"):
         stabilize(model, pairs)
+
+
+def test_a_solve_that_never_gets_inside_raises_with_its_closest_attempt(monkeypatch):
+    # every radius the solve sees is at least 1.5, so no iterate is stable
+    monkeypatch.setattr(
+        stabilize_module, "spectral_radius", lambda a: max(spectral_radius(a), 1.5)
+    )
+    model, pairs = noisy_unstable_fit(0)
+    with pytest.raises(
+        NotStabilizedError, match="no iterate reached spectral radius below 1.0"
+    ) as exc:
+        stabilize(model, pairs)
+    report = exc.value.report
+    assert not report.converged
+    assert report.final_spectral_radius >= 1.5
+    assert report.iterations_to_first_stable == -1
+    assert exc.value.model.order == model.order
 
 
 def test_config_validation():
