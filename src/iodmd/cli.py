@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import pathlib
 import re
 import sys
 
@@ -89,6 +90,19 @@ _BUDGETS = _arg_type(
 )
 
 
+def _file_in_existing_directory(text: str) -> str:
+    path = pathlib.Path(text)
+    if not path.parent.is_dir():
+        raise ValueError(f"directory {path.parent} does not exist")
+    if path.is_dir():
+        raise ValueError(f"{path} is a directory")
+    return text
+
+
+# identify and stabilize write --out after all their work, so check it first
+_OUT_FILE = _arg_type(_file_in_existing_directory)
+
+
 def _add_run(subparsers) -> None:
     p = subparsers.add_parser(
         "run", help="sweep the transport benchmark and write CSV tables"
@@ -159,7 +173,7 @@ def _add_identify(subparsers) -> None:
         help="interpret the budget relative to the snapshot norm or as-is",
     )
     p.add_argument("--reg-eps", type=_REG_EPS, default=0.0)
-    p.add_argument("--out", required=True, help="path of the model JSON")
+    p.add_argument("--out", type=_OUT_FILE, required=True, help="path of the model JSON")
     p.set_defaults(func=_cmd_identify)
 
 
@@ -191,7 +205,7 @@ def _add_stabilize(subparsers) -> None:
     )
     p.add_argument("--model", required=True, help="model JSON to repair")
     p.add_argument("--data", required=True, help="trajectory CSV the model was fit from")
-    p.add_argument("--out", required=True, help="path of the repaired model JSON")
+    p.add_argument("--out", type=_OUT_FILE, required=True, help="path of the repaired model JSON")
     p.add_argument("--tau", type=_TAU, default=0.0, help="stability margin in [0,1)")
     p.set_defaults(func=_cmd_stabilize)
 

@@ -109,7 +109,9 @@ class ExperimentRow:
     error, NaN radii. rho_* are the spectral radii before and after the
     optional stabilization step; the stabilize_* diagnostics are NaN when no
     solve ran. note carries failure tags ("not_stabilized",
-    "nonfinite_output", stage errors) and is empty for clean cells.
+    "nonfinite_output", stage errors) and is empty for clean cells. A new
+    field reaches rows.csv with no further edit; a stabilization.csv column
+    is one entry of _STABILIZATION_COLUMNS.
     """
 
     excitation: str
@@ -233,22 +235,44 @@ def _write_lines(path: pathlib.Path, lines: list[str]) -> pathlib.Path:
     return path
 
 
-def _first_seen(values) -> list:
-    seen = []
-    for v in values:
-        if v not in seen:
-            seen.append(v)
-    return seen
+def _listing(
+    path: pathlib.Path, rows: list[ExperimentRow], columns: dict[str, str]
+) -> pathlib.Path:
+    """One line per row and one column per ``{header: ExperimentRow field}``."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(getattr(r, name)) for name in columns.values()) for r in rows]
+    return _write_lines(path, lines)
+
+
+# stabilization.csv header -> ExperimentRow field, in column order
+_STABILIZATION_COLUMNS = {
+    "excitation": "excitation",
+    "budget": "budget",
+    "reduced_order": "reduced_order",
+    "rho_before": "rho_before",
+    "stabilized": "stabilized",
+    "iterations": "stabilize_iterations",
+    "objective_ratio": "stabilize_objective_ratio",
+    "model_change": "stabilize_model_change",
+    "rho_after": "rho_after",
+    "note": "note",
+}
+
+_PIVOTS = {
+    "errors.csv": "rel_output_error",
+    "orders.csv": "reduced_order",
+    "runtimes.csv": "wall_time_s",
+}
 
 
 def emit_tables(
     rows: list[ExperimentRow], output_dir: str | pathlib.Path
 ) -> dict[str, pathlib.Path]:
-    """Write the row dump plus four pivoted budget-by-excitation tables.
+    """Write the row dump, three budget-by-excitation pivots and the repairs.
 
     errors.csv, orders.csv and runtimes.csv have one line per budget and one
-    column per excitation; stabilization.csv lists every cell that was
-    unstable before processing with the solve diagnostics. Column and row
+    column per excitation; stabilization.csv lists every cell whose fit was
+    unstable before processing, with the solve diagnostics. Column and row
     order follow first appearance in the row list, so a fixed config yields
     a fixed layout. Floats are written with repr for exact round-trips.
     """
@@ -256,55 +280,20 @@ def emit_tables(
         raise ValueError("no rows to write")
     out = pathlib.Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tags = _first_seen([r.excitation for r in rows])
-    budgets = _first_seen([r.budget for r in rows])
-    by_cell = {(r.excitation, r.budget): r for r in rows}
+    every_field = {f.name: f.name for f in fields(ExperimentRow)}
+    paths = {"rows.csv": _listing(out / "rows.csv", rows, every_field)}
 
-    paths: dict[str, pathlib.Path] = {}
-    row_fields = [f.name for f in fields(ExperimentRow)]
-    lines = [",".join(row_fields)]
-    for r in rows:
-        lines.append(",".join(_fmt(getattr(r, name)) for name in row_fields))
-    paths["rows.csv"] = _write_lines(out / "rows.csv", lines)
-
-    pivots = (
-        ("errors.csv", lambda r: _fmt(r.rel_output_error)),
-        ("orders.csv", lambda r: _fmt(r.reduced_order)),
-        ("runtimes.csv", lambda r: _fmt(r.wall_time_s)),
-    )
-    for name, getter in pivots:
-        lines = ["budget," + ",".join(tags)]
-        for budget in budgets:
-            cells = [
-                getter(by_cell[(tag, budget)]) if (tag, budget) in by_cell else ""
-                for tag in tags
-            ]
-            lines.append(_fmt(budget) + "," + ",".join(cells))
+    tags = dict.fromkeys(r.excitation for r in rows)
+    budgets = dict.fromkeys(r.budget for r in rows)
+    for name, field in _PIVOTS.items():
+        cell = {(r.excitation, r.budget): _fmt(getattr(r, field)) for r in rows}
+        lines = [",".join(["budget", *tags])]
+        lines += [",".join([_fmt(b), *(cell.get((t, b), "") for t in tags)]) for b in budgets]
         paths[name] = _write_lines(out / name, lines)
 
-    lines = [
-        "excitation,budget,reduced_order,rho_before,stabilized,iterations,"
-        "objective_ratio,model_change,rho_after,note"
-    ]
-    for r in rows:
-        # cells that never produced a model carry no spectral information
-        if r.stable_before or r.reduced_order == 0:
-            continue
-        lines.append(
-            ",".join(
-                (
-                    r.excitation,
-                    _fmt(r.budget),
-                    _fmt(r.reduced_order),
-                    _fmt(r.rho_before),
-                    _fmt(r.stabilized),
-                    _fmt(r.stabilize_iterations),
-                    _fmt(r.stabilize_objective_ratio),
-                    _fmt(r.stabilize_model_change),
-                    _fmt(r.rho_after),
-                    r.note,
-                )
-            )
-        )
-    paths["stabilization.csv"] = _write_lines(out / "stabilization.csv", lines)
+    # cells that never produced a model carry no spectral information
+    unstable = [r for r in rows if not r.stable_before and r.reduced_order > 0]
+    paths["stabilization.csv"] = _listing(
+        out / "stabilization.csv", unstable, _STABILIZATION_COLUMNS
+    )
     return paths

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import Tolerances, pinv_apply, truncated_svd
+from .linalg import Tolerances, machine_rank, pinv_apply, truncated_svd
 from .pod import PodBasis
 from .snapshot import SnapshotPairs
 from .snapshot import project_pairs  # noqa: F401 - bench/tracing.py patches this name
@@ -147,22 +147,22 @@ def fit_dmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
     """Plain DMD: project x1 onto the retained left singular basis of x0.
 
     The returned model has order equal to the number of retained singular
-    values; the basis for lifting back to full dimension is kept on the
-    model.
+    values, which stop at the truncation threshold and, as in
+    ``pinv_apply``, at the machine-precision rank floor; the basis for
+    lifting back to full dimension is kept on the model.
     """
     if pairs.n_pairs == 0 or pairs.n_states == 0:
         raise DegenerateDataError("empty snapshot pairs")
     svd = truncated_svd(pairs.x0, tol.svd_truncation_eps)
-    if svd.rank == 0:
+    rank = min(svd.rank, machine_rank(svd.singular_values, max(pairs.x0.shape)))
+    if rank == 0:
         raise DegenerateDataError(
-            "all singular values fall below the truncation threshold"
+            "all singular values fall below the truncation threshold or the "
+            "machine-precision rank floor"
         )
-    if svd.singular_values[-1] == 0.0:
-        raise DegenerateDataError(
-            "retained singular values include exact zeros; raise svd_truncation_eps"
-        )
-    a = svd.left_vectors.T @ pairs.x1 @ svd.right_vectors / svd.singular_values
-    return _split_blocks(a, svd.rank, pairs.step_width, basis=svd.left_vectors)
+    u = svd.left_vectors[:, :rank]
+    a = u.T @ pairs.x1 @ svd.right_vectors[:, :rank] / svd.singular_values[:rank]
+    return _split_blocks(a, rank, pairs.step_width, basis=u)
 
 
 def fit_iodmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:

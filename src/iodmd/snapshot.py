@@ -201,8 +201,9 @@ def save_trajectory_csv(traj: TrajectoryData, path) -> None:
 def load_trajectory_csv(path) -> TrajectoryData:
     """Read a trajectory written by :func:`save_trajectory_csv`.
 
-    The header must be exactly ``t,x1..xN,u1..uM,y1..yQ`` in that order,
-    followed by at least two rows, and every value finite.
+    The header must be exactly ``t,x1..xN,u1..uM,y1..yQ`` in that order
+    with at least one state column, followed by at least two rows, and
+    every value finite.
     """
     path = Path(path)
     with open(path) as fh:
@@ -213,6 +214,8 @@ def load_trajectory_csv(path) -> TrajectoryData:
             raise ValueError(
                 f"{path}: header {header!r} is not t,x1..xN,u1..uM,y1..yQ"
             )
+        if n == 0:
+            raise ValueError(f"{path}: header {header!r} names no state column x1")
         with warnings.catch_warnings():
             # a header without rows is too few samples, reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")

@@ -51,11 +51,12 @@ def test_run_success_exit_code(tmp_path, capsys):
             "--budgets",
             "1e-1,1e-2",
             "--out",
-            str(tmp_path),
+            str(tmp_path / "new" / "tables"),
         ]
     )
     assert code == 0
-    assert (tmp_path / "errors.csv").exists()
+    # unlike identify and stabilize, run creates its output directory
+    assert (tmp_path / "new" / "tables" / "errors.csv").exists()
     out = capsys.readouterr().out
     assert "2 cells, 0 failed" in out
 
@@ -298,6 +299,13 @@ def test_a_failed_repair_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsy
          "svd_truncation_eps must be >= 0"),
         (["run", "--seed", "-1", "--excitations", "pe_noise", "--budgets", "1e-1",
           "--out", "{out}"], "seed must be nonnegative"),
+        # an output file that is a directory or lies in one that does not exist
+        (["identify", "--data", "{missing}", "--budget", "0.1",
+          "--out", "{missing}/o.json"], "argument --out: directory"),
+        (["stabilize", "--model", "{missing}", "--data", "{missing}",
+          "--out", "{missing}/o.json"], "argument --out: directory"),
+        (["identify", "--data", "{missing}", "--budget", "0.1",
+          "--out", "{tmp}"], "is a directory"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_file_is_touched(
@@ -305,7 +313,7 @@ def test_bad_values_are_usage_errors_before_any_file_is_touched(
 ):
     missing = tmp_path / "missing"
     out = tmp_path / "out"
-    argv = [a.format(missing=missing, out=out) for a in argv]
+    argv = [a.format(missing=missing, out=out, tmp=tmp_path) for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -365,6 +373,8 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
     )
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(data.read_text().splitlines()[0] + "\n")
+    no_state = tmp_path / "no_state.csv"
+    no_state.write_text("t,u1,y1\n0,1,2\n0.1,3,4\n")
     missing = tmp_path / "missing"
     out = tmp_path / "out.json"
     cases = [
@@ -414,6 +424,10 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
         (
             ["stabilize", "--model", str(matching), "--data", str(header_only)],
             f"cannot read {header_only}: {header_only}: need at least 2 samples",
+        ),
+        (
+            ["identify", "--data", str(no_state), "--budget", "1e-1"],
+            f"cannot read {no_state}: {no_state}: header 't,u1,y1' names no state column",
         ),
     ]
     for argv, message in cases:

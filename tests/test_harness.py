@@ -305,6 +305,37 @@ def test_emit_tables_lists_unstable_cells(tmp_path):
     assert stab[1] == "pe_noise,0.1,3,1.5,true,12,1.5,0.01,0.99,"
 
 
+def failed_repair_and_failed_cell():
+    """A repair that failed on a fit whose replay overflowed, and a cell
+    that produced no model at all."""
+    return [
+        make_row("pe_noise", 1e-3, rel_output_error=float("inf"), stable_before=False,
+                 stabilize_iterations=40, rho_before=1.2, rho_after=1.01,
+                 stabilize_objective_ratio=2.5, note="not_stabilized;nonfinite_output"),
+        ExperimentRow("ce_random", 1e-2, wall_time_s=0.2, note="error:LinAlgError"),
+    ]
+
+
+def test_rows_csv_writes_every_field_in_declaration_order(tmp_path):
+    emit_tables(failed_repair_and_failed_cell(), tmp_path)
+    assert (tmp_path / "rows.csv").read_text().splitlines() == [
+        "excitation,budget,reduced_order,rel_output_error,stable_before,stabilized,"
+        "stabilize_iterations,wall_time_s,rho_before,rho_after,"
+        "stabilize_objective_ratio,stabilize_model_change,note",
+        "pe_noise,0.001,3,inf,false,false,40,0.1,1.2,1.01,2.5,nan,"
+        "not_stabilized;nonfinite_output",
+        "ce_random,0.01,0,inf,false,false,0,0.2,nan,nan,nan,nan,error:LinAlgError",
+    ]
+
+
+def test_stabilization_csv_lists_failed_repairs_but_not_failed_cells(tmp_path):
+    # the failed cell is not stable before either, but it has no fit to list
+    emit_tables(failed_repair_and_failed_cell(), tmp_path)
+    assert (tmp_path / "stabilization.csv").read_text().splitlines()[1:] == [
+        "pe_noise,0.001,3,1.2,false,40,2.5,nan,1.01,not_stabilized;nonfinite_output"
+    ]
+
+
 def test_emit_is_deterministic(tmp_path):
     rows = [make_row("target", 1e-1), make_row("target", 1e-2)]
     emit_tables(rows, tmp_path / "a")

@@ -127,6 +127,20 @@ def test_plain_dmd_recovers_spectrum_from_autonomous_data():
     assert np.allclose(got, want, atol=1e-8)
 
 
+def test_fit_dmd_never_inverts_machine_noise_singular_values():
+    # rank-3 snapshots of 6 states: three singular values are rounding noise
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 6))
+    a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
+    x0 = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 40))
+    x1 = a @ x0
+    model = fit_dmd(SnapshotPairs(x0=x0, x1=x1), Tolerances())
+    assert model.order == 3
+    u = model.basis
+    residual = np.linalg.norm(u @ model.a @ u.T @ x0 - u @ u.T @ x1)
+    assert residual <= 1e-10 * np.linalg.norm(x1)
+
+
 def test_fit_dmd_degenerate_data():
     with pytest.raises(DegenerateDataError):
         fit_dmd(SnapshotPairs(x0=np.zeros((2, 3)), x1=np.zeros((2, 3))), Tolerances())

@@ -113,6 +113,14 @@ def test_load_trajectory_rejects_a_misordered_header(tmp_path, header):
         load_trajectory_csv(path)
 
 
+def test_load_trajectory_needs_a_state_column(tmp_path):
+    # inputs and outputs alone leave nothing to fit
+    path = tmp_path / "nostate.csv"
+    path.write_text("t,u1,y1\n0,1,2\n1,3,4\n")
+    with pytest.raises(ValueError, match="header 't,u1,y1' names no state column"):
+        load_trajectory_csv(path)
+
+
 def test_load_trajectory_rejects_rows_wider_than_the_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,x1\n0,1,2\n1,4,5\n")
