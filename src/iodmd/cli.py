@@ -99,8 +99,17 @@ def _file_in_existing_directory(text: str) -> str:
     return text
 
 
-# identify and stabilize write --out after all their work, so check it first
+def _directory_to_create(text: str) -> str:
+    path = pathlib.Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"{existing} is not a directory")
+    return text
+
+
+# every subcommand writes --out after all its work, so check it first
 _OUT_FILE = _arg_type(_file_in_existing_directory)
+_OUT_DIR = _arg_type(_directory_to_create)
 
 
 def _add_run(subparsers) -> None:
@@ -129,7 +138,7 @@ def _add_run(subparsers) -> None:
         "--stabilize", action="store_true", help="repair unstable fitted models"
     )
     p.add_argument("--seed", type=_SEED, default=42)
-    p.add_argument("--out", required=True, help="directory for the CSV tables")
+    p.add_argument("--out", type=_OUT_DIR, required=True, help="directory for the CSV tables")
     p.set_defaults(func=_cmd_run)
 
 

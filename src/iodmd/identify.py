@@ -12,12 +12,13 @@ Two solves over snapshot pairs:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .linalg import Tolerances, machine_rank, pinv_apply, truncated_svd
+from .linalg import _as_real_matrix, _positive_finite
 from .pod import PodBasis
 from .snapshot import SnapshotPairs
 from .snapshot import project_pairs  # noqa: F401 - bench/tracing.py patches this name
@@ -42,10 +43,12 @@ class DegenerateDataError(ValueError):
 class StateSpaceModel:
     """State-space blocks (A, B, C, D) with a discrete/continuous tag.
 
-    Input/output blocks may be empty (zero rows or columns). ``basis``
-    optionally keeps the projection that lifts reduced states back to full
-    dimension; ``underdetermined`` flags fits whose data matrix had lower
-    rank than rows, where the returned blocks are the minimum-norm choice.
+    Every block is a 2-D matrix: A is r x r, B is r x M, C is Q x r and D
+    is Q x M, with None for an empty block (an all-zero D). ``basis``
+    optionally keeps the N x r projection that lifts reduced states back to
+    full dimension; ``underdetermined`` flags fits whose data matrix had
+    lower rank than rows, where the returned blocks are the minimum-norm
+    choice. Discrete models need a positive finite ``step_width``.
     """
 
     a: np.ndarray
@@ -58,42 +61,20 @@ class StateSpaceModel:
     underdetermined: bool = False
 
     def __post_init__(self) -> None:
-        self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        self.a = _as_real_matrix(self.a, "a")
         r = self.a.shape[0]
         if self.a.shape != (r, r):
             raise ValueError(f"a must be square, got shape {self.a.shape}")
-
-        b = np.zeros((r, 0)) if self.b is None else np.asarray(self.b, dtype=float)
-        if b.ndim == 1:
-            b = b.reshape(r, -1) if b.size else np.zeros((r, 0))
-        if b.ndim != 2 or b.shape[0] != r:
-            raise ValueError(f"b must have {r} rows, got shape {b.shape}")
-        self.b = b
-        m = b.shape[1]
-
-        c = np.zeros((0, r)) if self.c is None else np.asarray(self.c, dtype=float)
-        if c.ndim == 1:
-            c = c.reshape(-1, r) if c.size else np.zeros((0, r))
-        if c.ndim != 2 or c.shape[1] != r:
-            raise ValueError(f"c must have {r} columns, got shape {c.shape}")
-        self.c = c
-        q = c.shape[0]
-
-        d = np.zeros((q, m)) if self.d is None else np.asarray(self.d, dtype=float)
-        if d.ndim == 0:
-            d = d.reshape(1, 1)
-        if d.shape != (q, m):
-            if d.size == 0 and q * m == 0:
-                d = np.zeros((q, m))
-            else:
-                raise ValueError(f"d must have shape ({q}, {m}), got {d.shape}")
-        self.d = d
+        self.b = _as_real_matrix(self.b, "b", rows=r)
+        self.c = _as_real_matrix(self.c, "c", cols=r)
+        self.d = _as_real_matrix(self.d, "d", self.c.shape[0], self.b.shape[1])
+        if self.basis is not None:
+            self.basis = _as_real_matrix(self.basis, "basis", cols=r)
 
         if self.time_domain not in ("discrete", "continuous"):
             raise ValueError(f"unknown time_domain {self.time_domain!r}")
         if self.time_domain == "discrete":
-            if self.step_width is None or not 0 < self.step_width < np.inf:
-                raise ValueError("discrete models need a positive finite step_width")
+            _positive_finite(self.step_width)
         else:
             self.step_width = None
 
@@ -207,8 +188,7 @@ def to_continuous(model: StateSpaceModel, h: float) -> StateSpaceModel:
     """
     if model.time_domain != "discrete":
         raise ValueError("model is already continuous")
-    if h <= 0:
-        raise ValueError("step width h must be positive")
+    _positive_finite(h, "h")
     return StateSpaceModel(
         a=(model.a - np.eye(model.order)) / h,
         b=model.b / h,

@@ -70,11 +70,29 @@ class SpectralRadiusGradient:
     nonsmooth: bool
 
 
-def _as_real_matrix(m, name: str = "matrix") -> np.ndarray:
+def _as_real_matrix(
+    m, name: str = "matrix", rows: int | None = None, cols: int | None = None
+) -> np.ndarray:
+    """``m`` as a 2-D float array: the one shape rule for every matrix argument.
+
+    A given ``rows`` or ``cols`` count must match exactly; None leaves it
+    free. When at least one count is fixed, ``m=None`` is the missing block:
+    zeros of the fixed counts, with 0 for a free one. Nothing is promoted, so
+    a 1-D or scalar ``m``, and None with both counts free, raise ValueError.
+    """
+    if m is None and (rows, cols) != (None, None):
+        return np.zeros((rows or 0, cols or 0))
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
+    if a.ndim != 2 or rows not in (None, a.shape[0]) or cols not in (None, a.shape[1]):
+        want = "x".join("*" if k is None else str(k) for k in (rows, cols))
+        raise ValueError(f"{name} must be a {want} matrix, got shape {a.shape}")
     return a
+
+
+def _positive_finite(step, name: str = "step_width") -> None:
+    """The one rule for every step width: None, NaN, infinity and <= 0 fail."""
+    if step is None or not 0 < step < np.inf:
+        raise ValueError(f"need a positive finite {name}, got {step!r}")
 
 
 def truncated_svd(m, eps: float) -> SvdResult:
@@ -122,11 +140,7 @@ def pinv_apply(m, eps: float, rhs) -> tuple[np.ndarray, int]:
     inverted. Non-finite entries in ``m`` or ``rhs`` raise ValueError.
     """
     a = _as_real_matrix(m, "m")
-    b = _as_real_matrix(rhs, "rhs")
-    if b.shape[1] != a.shape[1]:
-        raise ValueError(
-            f"rhs has {b.shape[1]} columns, expected {a.shape[1]} to match m"
-        )
+    b = _as_real_matrix(rhs, "rhs", cols=a.shape[1])
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
     svd = truncated_svd(a, eps)

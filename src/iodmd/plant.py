@@ -16,6 +16,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .identify import StateSpaceModel
+from .linalg import _as_real_matrix, _positive_finite
 from .snapshot import TrajectoryData
 
 __all__ = [
@@ -42,10 +43,8 @@ class SimConfig:
     input_timing: str = "end"
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        _positive_finite(self.dt, "dt")
+        _positive_finite(self.horizon, "horizon")
         if self.input_timing not in ("end", "start"):
             raise ValueError(f"unknown input_timing {self.input_timing!r}")
         ratio = self.horizon / self.dt
@@ -84,23 +83,16 @@ def build_transport_plant(speed: float, dx: float) -> StateSpaceModel:
 def _checked_run(model: StateSpaceModel, domain: str, u, x0, n_samples=None):
     """Input samples of shape (inputs, samples) and the initial state.
 
-    ``u=None`` means zero input over ``n_samples`` samples; without a
-    sample count the input must be given. ``x0=None`` starts at rest.
+    ``u`` is M x ``n_samples``, and None is zero input over ``n_samples``
+    samples, so without a sample count it must be given. ``x0=None`` starts
+    at rest.
     """
     if model.time_domain != domain:
         raise ValueError(f"simulate_{domain} requires a {domain}-time model")
-    if u is None and n_samples is None:
-        raise ValueError("input samples are required (use zeros for autonomous runs)")
-    m, r = model.n_inputs, model.order
-    u_arr = np.zeros((m, n_samples)) if u is None else np.asarray(u, dtype=float)
-    if u_arr.ndim == 1:
-        u_arr = u_arr.reshape(m, -1)
-    if u_arr.ndim != 2 or u_arr.shape[0] != m:
-        raise ValueError(f"input samples must have {m} rows, got shape {u_arr.shape}")
-    if n_samples is not None and u_arr.shape[1] != n_samples:
-        raise ValueError(f"need {n_samples} input samples, got {u_arr.shape[1]}")
+    r = model.order
+    u_arr = _as_real_matrix(u, "u", model.n_inputs, n_samples)
     if u_arr.shape[1] < 1:
-        raise ValueError("need at least one input sample")
+        raise ValueError("need at least one input sample (use zeros for autonomous runs)")
     start = np.zeros(r) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if start.size != r:
         raise ValueError(f"x0 must have {r} entries, got {start.size}")
@@ -152,8 +144,8 @@ def simulate_discrete(model: StateSpaceModel, u, x0=None) -> TrajectoryData:
 
 def relative_output_error(y_ref, y_test) -> float:
     """Frobenius norm of the output mismatch over the reference norm."""
-    ref = np.atleast_2d(np.asarray(y_ref, dtype=float))
-    test = np.atleast_2d(np.asarray(y_test, dtype=float))
+    ref = _as_real_matrix(y_ref, "y_ref")
+    test = _as_real_matrix(y_test, "y_test")
     if ref.shape != test.shape:
         raise ValueError(f"output shapes differ: {ref.shape} vs {test.shape}")
     ref_norm = float(np.linalg.norm(ref))

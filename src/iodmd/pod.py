@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import machine_rank, truncated_svd
+from .linalg import _as_real_matrix, machine_rank, truncated_svd
 
 __all__ = ["PodBasis", "pod_basis", "pod_sweep"]
 
@@ -69,9 +69,7 @@ def _bases(x, error_budgets, mode: str, factor) -> list[PodBasis]:
     if mode not in ("relative", "absolute"):
         raise ValueError(f"unknown mode {mode!r}")
     error_budgets = [check_budget(budget) for budget in error_budgets]
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"snapshot matrix must be 2-D, got shape {x.shape}")
+    x = _as_real_matrix(x, "snapshot matrix")
     if not np.all(np.isfinite(x)):
         raise ValueError("snapshot matrix contains non-finite entries")
     norm = np.linalg.norm(x)

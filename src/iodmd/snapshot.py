@@ -10,10 +10,12 @@ column k of ``x0``. Outputs are aligned with the data equation
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .linalg import _as_real_matrix, _positive_finite
 
 __all__ = [
     "TrajectoryData",
@@ -26,27 +28,14 @@ __all__ = [
 ]
 
 
-def _channels(m, n_cols: int, name: str) -> np.ndarray:
-    """Coerce an optional channel block to a float matrix with n_cols columns."""
-    if m is None:
-        return np.zeros((0, n_cols))
-    a = np.asarray(m, dtype=float)
-    if a.ndim == 1:
-        a = a[np.newaxis, :]
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if a.shape[0] > 0 and a.shape[1] != n_cols:
-        raise ValueError(
-            f"{name} has {a.shape[1]} columns, expected {n_cols} to match states"
-        )
-    if a.shape[0] == 0:
-        a = a.reshape(0, n_cols)
-    return a
-
-
 @dataclass
 class TrajectoryData:
-    """Uniformly sampled state/input/output snapshots from one simulation."""
+    """Uniformly sampled state/input/output snapshots from one simulation.
+
+    ``states`` is a 2-D N x K matrix; ``inputs`` and ``outputs`` have K
+    columns, with None for an empty block. ``step_width`` must be positive
+    and finite.
+    """
 
     states: np.ndarray
     inputs: np.ndarray | None = None
@@ -54,14 +43,11 @@ class TrajectoryData:
     step_width: float = 1.0
 
     def __post_init__(self) -> None:
-        self.states = np.asarray(self.states, dtype=float)
-        if self.states.ndim != 2:
-            raise ValueError(f"states must be 2-D, got shape {self.states.shape}")
+        self.states = _as_real_matrix(self.states, "states")
         n_cols = self.states.shape[1]
-        self.inputs = _channels(self.inputs, n_cols, "inputs")
-        self.outputs = _channels(self.outputs, n_cols, "outputs")
-        if self.step_width <= 0:
-            raise ValueError("step_width must be positive")
+        self.inputs = _as_real_matrix(self.inputs, "inputs", cols=n_cols)
+        self.outputs = _as_real_matrix(self.outputs, "outputs", cols=n_cols)
+        _positive_finite(self.step_width)
 
     @property
     def n_samples(self) -> int:
@@ -76,26 +62,28 @@ class TrajectoryData:
 class SnapshotPairs:
     """Aligned (x0, x1, u0, y0) matrices; column k of x1 succeeds column k of x0.
 
-    ``step_width`` is carried along from the source trajectory when known;
-    it is None for concatenations of differently stepped trajectories.
+    ``x0`` is a 2-D N x K matrix and ``x1`` has its shape; ``u0`` and ``y0``
+    have K columns, with None for an empty block. ``step_width`` is carried
+    along from the source trajectory when known, and must then be positive
+    and finite; it is None for concatenations of differently stepped
+    trajectories.
     """
 
     x0: np.ndarray
     x1: np.ndarray
-    u0: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    y0: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    u0: np.ndarray | None = None
+    y0: np.ndarray | None = None
     step_width: float | None = None
 
     def __post_init__(self) -> None:
-        self.x0 = np.asarray(self.x0, dtype=float)
-        self.x1 = np.asarray(self.x1, dtype=float)
-        if self.x0.shape != self.x1.shape:
-            raise ValueError(
-                f"x0 and x1 must have equal shapes, got {self.x0.shape} and {self.x1.shape}"
-            )
+        self.x0 = _as_real_matrix(self.x0, "x0")
+        # x1 is never a missing block: asarray makes None 0-D, which fails
+        self.x1 = _as_real_matrix(np.asarray(self.x1, dtype=float), "x1", *self.x0.shape)
         k = self.x0.shape[1]
-        self.u0 = _channels(self.u0, k, "u0")
-        self.y0 = _channels(self.y0, k, "y0")
+        self.u0 = _as_real_matrix(self.u0, "u0", cols=k)
+        self.y0 = _as_real_matrix(self.y0, "y0", cols=k)
+        if self.step_width is not None:
+            _positive_finite(self.step_width)
 
     @property
     def n_states(self) -> int:
@@ -155,11 +143,7 @@ def concat_pairs(pairs: list[SnapshotPairs]) -> SnapshotPairs:
 
 def project_pairs(pairs: SnapshotPairs, q: np.ndarray) -> SnapshotPairs:
     """Compress the state rows of ``pairs`` through a projection ``q`` (N x n)."""
-    q = np.asarray(q, dtype=float)
-    if q.shape[0] != pairs.n_states:
-        raise ValueError(
-            f"projection has {q.shape[0]} rows, expected {pairs.n_states}"
-        )
+    q = _as_real_matrix(q, "projection", rows=pairs.n_states)
     return SnapshotPairs(
         x0=q.T @ pairs.x0,
         x1=q.T @ pairs.x1,

@@ -306,6 +306,11 @@ def test_a_failed_repair_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsy
           "--out", "{missing}/o.json"], "argument --out: directory"),
         (["identify", "--data", "{missing}", "--budget", "0.1",
           "--out", "{tmp}"], "is a directory"),
+        # a table directory that is a file or lies under one
+        (["run", "--excitations", "target", "--budgets", "1e-1", "--out", "/dev/null"],
+         "argument --out: /dev/null is not a directory"),
+        (["run", "--excitations", "target", "--budgets", "1e-1", "--out", "/dev/null/sub"],
+         "argument --out: /dev/null is not a directory"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_file_is_touched(

@@ -212,6 +212,12 @@ def test_to_continuous_inverts_explicit_euler():
         to_continuous(model, h=0.0)
 
 
+@pytest.mark.parametrize("h", [-0.25, np.nan, np.inf])
+def test_to_continuous_needs_a_positive_finite_step(h):
+    with pytest.raises(ValueError, match="need a positive finite h"):
+        to_continuous(random_system(31), h=h)
+
+
 def test_model_json_roundtrip_exact(tmp_path):
     model = random_system(41)
     model.basis = np.linalg.qr(np.random.default_rng(42).standard_normal((9, 4)))[0]
@@ -281,3 +287,18 @@ def test_state_space_model_validation():
             StateSpaceModel(a=np.eye(2), step_width=step)
     blocks = StateSpaceModel(a=np.eye(2), b=np.ones((2, 1))).blocks()
     assert blocks.shape == (2, 3)
+    # every block is 2-D: no 1-D or scalar form is promoted
+    b, c = np.ones((2, 1)), np.ones((1, 2))
+    for kwargs, message in (
+        ({"b": np.ones(2)}, "b must be a 2x* matrix, got shape (2,)"),
+        ({"c": np.ones(2)}, "c must be a *x2 matrix, got shape (2,)"),
+        ({"b": b, "c": c, "d": 0.5}, "d must be a 1x1 matrix, got shape ()"),
+        ({"b": b, "c": c, "d": np.ones((2, 2))}, "d must be a 1x1 matrix, got shape (2, 2)"),
+        ({"b": b, "d": np.zeros((0, 0))}, "d must be a 0x1 matrix, got shape (0, 0)"),
+        ({"basis": np.eye(3)}, "basis must be a *x2 matrix, got shape (3, 3)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            StateSpaceModel(a=np.eye(2), **kwargs)
+        assert str(exc.value) == message
+    model = StateSpaceModel(a=np.eye(2), b=b, c=c)
+    assert np.array_equal(model.d, [[0.0]])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from iodmd.linalg import (
     Tolerances,
+    _as_real_matrix,
     machine_rank,
     pinv_apply,
     spectral_radius,
@@ -99,6 +100,43 @@ def test_pinv_apply_never_inverts_machine_zeros():
     g, rank = pinv_apply(m, 0.0, np.ones((2, 4)))
     assert rank == 0
     assert np.array_equal(g, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "m, rows, cols, expected",
+    [
+        ([[1, 2, 3]], None, None, (1, 3)),
+        ([[1, 2, 3]], 1, None, (1, 3)),
+        ([[1, 2, 3]], None, 3, (1, 3)),
+        ([[1, 2, 3]], 1, 3, (1, 3)),
+        (np.zeros((0, 4)), 0, 4, (0, 4)),
+        # None is the missing block when a count is fixed
+        (None, 3, None, (3, 0)),
+        (None, None, 2, (0, 2)),
+        (None, 2, 3, (2, 3)),
+        # a wrong count, None with both counts free, and nothing promoted
+        ([[1, 2, 3]], 3, None, "b must be a 3x* matrix, got shape (1, 3)"),
+        ([[1, 2, 3]], None, 2, "b must be a *x2 matrix, got shape (1, 3)"),
+        ([[1, 2, 3]], 1, 2, "b must be a 1x2 matrix, got shape (1, 3)"),
+        (None, None, None, "b must be a *x* matrix, got shape ()"),
+        ([1, 2, 3], None, None, "b must be a *x* matrix, got shape (3,)"),
+        ([1, 2, 3], 3, None, "b must be a 3x* matrix, got shape (3,)"),
+        (2.0, 1, 1, "b must be a 1x1 matrix, got shape ()"),
+        (np.ones((1, 1, 1)), 1, 1, "b must be a 1x1 matrix, got shape (1, 1, 1)"),
+    ],
+)
+def test_one_shape_rule_for_every_matrix(m, rows, cols, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            _as_real_matrix(m, "b", rows, cols)
+        assert str(exc.value) == expected
+        return
+    a = _as_real_matrix(m, "b", rows, cols)
+    assert a.dtype == float and a.shape == expected
+    if m is None:
+        assert not a.any()
+    else:
+        assert np.array_equal(a, m)
 
 
 def test_pinv_apply_shape_mismatch():

@@ -1,5 +1,7 @@
 """Plant construction and the implicit-Euler integrator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,14 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.1, horizon=1.0, input_timing="middle")
     assert SimConfig(dt=0.1, horizon=1.0).n_steps == 10
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
+def test_sim_config_needs_a_positive_finite_dt_and_horizon(step):
+    with pytest.raises(ValueError, match="need a positive finite dt"):
+        SimConfig(dt=step, horizon=1.0)
+    with pytest.raises(ValueError, match="need a positive finite horizon"):
+        SimConfig(dt=0.1, horizon=step)
 
 
 def test_implicit_euler_matches_scalar_closed_form():
@@ -139,6 +149,13 @@ def test_simulate_discrete_initial_state_and_validation():
     continuous = StateSpaceModel(a=[[0.5]], time_domain="continuous")
     with pytest.raises(ValueError):
         simulate_discrete(continuous, np.zeros((1, 3)))
+    # u is inputs x samples: a 1-D signal is not split into rows
+    two_inputs = StateSpaceModel(a=[[0.5]], b=[[1.0, 1.0]])
+    with pytest.raises(ValueError, match=re.escape("u must be a 2x* matrix, got shape (6,)")):
+        simulate_discrete(two_inputs, np.zeros(6))
+    plant = StateSpaceModel([[-1.0]], [[1.0, 1.0]], [[1.0]], time_domain="continuous")
+    with pytest.raises(ValueError, match=re.escape("u must be a 2x11 matrix, got shape (22,)")):
+        simulate_continuous(plant, np.zeros(22), None, SimConfig(dt=0.1, horizon=1.0))
 
 
 def test_relative_output_error_hand_values():

@@ -43,6 +43,13 @@ def test_trajectory_validates_channel_lengths():
         TrajectoryData(states=np.ones((2, 4)), inputs=np.ones((1, 3)))
     with pytest.raises(ValueError):
         TrajectoryData(states=np.ones((2, 4)), step_width=0.0)
+    # a 1-D channel block is not promoted to one row
+    for name in ("inputs", "outputs"):
+        with pytest.raises(ValueError) as exc:
+            TrajectoryData(states=np.ones((2, 4)), **{name: np.ones(4)})
+        assert str(exc.value) == f"{name} must be a *x4 matrix, got shape (4,)"
+    with pytest.raises(ValueError, match=re.escape("states must be a *x* matrix, got shape (4,)")):
+        TrajectoryData(states=np.ones(4))
 
 
 def test_snapshot_pairs_shape_checks():
@@ -50,6 +57,30 @@ def test_snapshot_pairs_shape_checks():
         SnapshotPairs(x0=np.ones((2, 3)), x1=np.ones((2, 4)))
     with pytest.raises(ValueError):
         SnapshotPairs(x0=np.ones((2, 3)), x1=np.ones((2, 3)), u0=np.ones((1, 2)))
+    x = np.ones((2, 3))
+    for kwargs, message in (
+        ({"x0": np.ones(3), "x1": np.ones(3)}, "x0 must be a *x* matrix, got shape (3,)"),
+        ({"x0": x, "x1": None}, "x1 must be a 2x3 matrix, got shape ()"),
+        ({"x0": x, "x1": x, "u0": np.ones(3)}, "u0 must be a *x3 matrix, got shape (3,)"),
+        ({"x0": x, "x1": x, "y0": np.ones(3)}, "y0 must be a *x3 matrix, got shape (3,)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            SnapshotPairs(**kwargs)
+        assert str(exc.value) == message
+    # omitted channels are empty blocks with one column per pair
+    pairs = SnapshotPairs(x0=x, x1=x)
+    assert pairs.u0.shape == pairs.y0.shape == (0, 3)
+    assert (pairs.n_inputs, pairs.n_outputs) == (0, 0)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_every_step_width_is_positive_and_finite(step):
+    x = np.ones((2, 3))
+    with pytest.raises(ValueError, match="need a positive finite step_width"):
+        TrajectoryData(states=x, step_width=step)
+    with pytest.raises(ValueError, match="need a positive finite step_width"):
+        SnapshotPairs(x0=x, x1=x, step_width=step)
+    assert SnapshotPairs(x0=x, x1=x, step_width=None).step_width is None
 
 
 def test_concat_pairs_stacks_columns():
