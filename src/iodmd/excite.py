@@ -93,8 +93,10 @@ def excite_ce(plant: StateSpaceModel, spec: ExcitationSpec, T: float, dt: float)
     # sample u_k drives transition k -> k+1 and the stacked snapshot/input
     # pairs satisfy the implicit-Euler stencil exactly.
     cfg = SimConfig(dt=dt, horizon=T, input_timing="start")
-    stage1 = simulate_continuous(plant, None, x0, cfg)
-    return simulate_continuous(plant, stage1.outputs, None, cfg)
+    # stage 2 replays only stage 1's outputs, so stage 1's state record, as
+    # large as stage 2's, is freed before stage 2 allocates its own
+    replayed = simulate_continuous(plant, None, x0, cfg).outputs
+    return simulate_continuous(plant, replayed, None, cfg)
 
 
 def excite_target(

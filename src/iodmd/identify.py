@@ -223,9 +223,11 @@ def load_model_json(path) -> StateSpaceModel:
     """Read a model written by ``save_model_json``.
 
     Files without ``basis`` or ``underdetermined`` load with no basis and
-    the flag unset. A missing key, a dimension that is not a nonnegative
-    integer, a block that does not fit its dimensions and a non-finite entry
-    (NaN, infinity or null) each raise a ValueError that names the key.
+    the flag unset. Every block must be nested as the matrix of its declared
+    shape; only a block without rows may be the flat ``[]`` that
+    ``tolist()`` writes. A missing key, a dimension that is not a nonnegative
+    integer, a block of another shape and a non-finite entry (NaN, infinity
+    or null) each raise a ValueError that names the key.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -241,13 +243,17 @@ def load_model_json(path) -> StateSpaceModel:
     r, m, p = doc["order"], doc["m"], doc["p"]
     shapes = {"A": (r, r), "B": (r, m), "C": (p, r), "D": (p, m)}
     if doc.get("basis") is not None:
-        shapes["basis"] = (-1, r)
+        shapes["basis"] = (None, r)
     blocks = {}
-    for name, shape in shapes.items():
+    for name, (rows, cols) in shapes.items():
         try:
-            blocks[name] = np.asarray(doc[name], dtype=float).reshape(shape)
+            block = np.asarray(doc[name], dtype=float)
         except (TypeError, ValueError):
-            raise ValueError(f"{path}: block {name} does not reshape to {shape}") from None
+            raise ValueError(f"{path}: block {name} is not a matrix of numbers") from None
+        if block.shape == (0,):
+            # tolist() writes a block without rows as a flat []
+            block = block.reshape(0, cols)
+        blocks[name] = _as_real_matrix(block, f"{path}: block {name}", rows, cols)
     for name, block in blocks.items():
         bad = np.argwhere(~np.isfinite(block))
         if bad.size:

@@ -102,12 +102,15 @@ def _range_finder_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The orthonormal basis Q grows by blocks of ``_BLOCK`` columns drawn from
     the residual ``X - Q Q^T X``, which is kept explicitly: estimating its
     norm from ``||X||^2 - ||Q^T X||^2`` cancels below sqrt(eps). Each block
-    is orthogonalized against Q twice, with a QR after each pass. Growth
-    stops once ``||X - Q Q^T X||_F <= max(m, n) * eps * sigma_1``, the floor
-    below which ``machine_rank`` zeroes singular values anyway, and the SVD
-    of the small matrix ``Q^T X`` gives the result. A matrix whose sketch
-    would reach min(m, n)/2 columns is close to full rank, and the dense
-    SVD is cheaper there.
+    is orthogonalized against Q twice, with a QR after each pass, and then
+    deflates the residual in place, ``_BLOCK`` rows at a time: the residual
+    is the only array here the size of X, and it is released before the
+    final SVD. Growth stops once
+    ``||X - Q Q^T X||_F <= max(m, n) * eps * sigma_1``, the floor below
+    which ``machine_rank`` zeroes singular values anyway, and the SVD of the
+    small matrix ``Q^T X`` gives the result. A matrix whose sketch would
+    reach min(m, n)/2 columns is close to full rank, and the dense SVD is
+    cheaper there.
     """
     m, n = x.shape
     rng = np.random.default_rng(_SKETCH_SEED)
@@ -123,12 +126,18 @@ def _range_finder_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if floor is None:
             # the first block captures the dominant direction of X
             floor = max(m, n) * np.finfo(float).eps * np.linalg.norm(b, 2)
-        residual -= y @ b
+        # y @ b in one piece would be a second array the size of X
+        for start in range(0, m, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            residual[rows] -= y[rows] @ b
         q = np.hstack([q, y])
         if np.linalg.norm(residual) <= floor:
-            ub, s, _ = np.linalg.svd(q.T @ x, full_matrices=False)
-            return q @ ub, s
-    return _dense_svd(x)
+            break
+    else:
+        return _dense_svd(x)
+    del residual
+    ub, s, _ = np.linalg.svd(q.T @ x, full_matrices=False)
+    return q @ ub, s
 
 
 def pod_basis(x, error_budget: float, mode: str = "relative") -> PodBasis:

@@ -94,6 +94,15 @@ def test_ce_replays_stage_one_output(plant):
     assert np.any(traj.inputs != 0.0)
 
 
+def test_ce_frees_stage_one_states_before_stage_two(traced_peak):
+    # only stage 1's outputs are replayed, so one state record is alive
+    # at a time
+    plant = build_transport_plant(speed=1.3, dx=1e-2)
+    spec = ExcitationSpec(kind="ce_shifted_init")
+    traj, peak = traced_peak(generate_excitation, plant, spec, T=1.0, dt=1e-3)
+    assert peak < 1.5 * traj.states.nbytes
+
+
 def test_ce_random_init_is_seed_reproducible(plant):
     spec = ExcitationSpec(kind="ce_gaussian_init", seed=8)
     a = excite_ce(plant, spec, T=0.2, dt=0.01)

@@ -234,6 +234,25 @@ def test_model_json_roundtrip_exact(tmp_path):
     assert back.step_width == model.step_width
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        StateSpaceModel(a=0.5 * np.eye(2), b=np.ones((2, 1))),
+        StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), np.ones((1, 1))),
+    ],
+    ids=["no_outputs", "order_zero"],
+)
+def test_model_json_roundtrip_keeps_empty_blocks(tmp_path, model):
+    # tolist() writes a block without rows as a flat []
+    path = tmp_path / "model.json"
+    save_model_json(model, path)
+    back = load_model_json(path)
+    for name in ("a", "b", "c", "d"):
+        got, want = getattr(back, name), getattr(model, name)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
 def test_model_json_without_basis_loads_as_before(tmp_path):
     # files written before the basis and the flag were stored
     model = random_system(43)
@@ -259,10 +278,29 @@ def without(key):
         (without("step_width"), "missing key 'step_width'"),
         (lambda doc: {**doc, "order": 1.5}, "'order' must be a nonnegative integer, got 1.5"),
         (lambda doc: {**doc, "step_width": "0.1"}, "'step_width' must be a number, got '0.1'"),
-        (lambda doc: {**doc, "A": doc["A"][:3]}, "block A does not reshape to (4, 4)"),
+        (lambda doc: {**doc, "A": doc["A"][:3]}, "block A must be a 4x4 matrix, got shape (3, 4)"),
+        (
+            lambda doc: {**doc, "A": sum(doc["A"], [])},
+            "block A must be a 4x4 matrix, got shape (16,)",
+        ),
+        (
+            lambda doc: {**doc, "B": [[row] for row in doc["B"]]},
+            "block B must be a 4x2 matrix, got shape (4, 1, 2)",
+        ),
+        (lambda doc: {**doc, "C": [[1.0, "x", 0.0, 0.0]]}, "block C is not a matrix of numbers"),
         (lambda doc: [doc], "expected a JSON object, found list"),
     ],
-    ids=["no_d", "no_step_width", "half_order", "string_step_width", "short_a", "list"],
+    ids=[
+        "no_d",
+        "no_step_width",
+        "half_order",
+        "string_step_width",
+        "short_a",
+        "flat_a",
+        "nested_b",
+        "text_c",
+        "list",
+    ],
 )
 def test_malformed_model_json_names_the_file_and_the_key(tmp_path, edit, message):
     path = tmp_path / "model.json"

@@ -138,6 +138,15 @@ def test_range_finder_is_reproducible():
     assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
 
 
+def test_range_finder_holds_one_array_the_size_of_the_snapshots(traced_peak):
+    # the residual is the only full-size array: it is deflated in place and
+    # released before the final SVD
+    x = matrix_with_spectrum(np.logspace(0, -3, 20), shape=(600, 601), seed=3)
+    bases, peak = traced_peak(pod_sweep, x, [1e-1, 1e-8], mode="absolute")
+    assert bases[-1].order == 20
+    assert peak < 1.5 * x.nbytes
+
+
 @pytest.mark.parametrize("shape", [(60, 50), (200, 150)])
 def test_full_rank_matrix_falls_back_to_the_dense_svd(shape):
     # (60, 50): the first block already reaches min(shape)/2; (200, 150):
