@@ -9,7 +9,6 @@ result by constrained optimization.
 from .linalg import (
     SpectralRadiusGradient,
     SvdResult,
-    Tolerances,
     machine_rank,
     pinv_apply,
     spectral_radius,
@@ -55,7 +54,6 @@ from .excite import (
 )
 from .stabilize import (
     NotStabilizedError,
-    StabilizeConfig,
     StabilizeReport,
     save_report_json,
     stabilize,

@@ -17,11 +17,11 @@ import sys
 
 from .harness import EXCITATIONS, ExperimentConfig, run_experiment
 from .identify import fit_reduced_iodmd, load_model_json, save_model_json
-from .linalg import Tolerances, spectral_radius
+from .linalg import spectral_radius
 from .linalg import truncated_svd  # noqa: F401 - bench/tracing.py patches this name
 from .pod import check_budget, pod_basis
 from .snapshot import load_trajectory_csv, make_pairs, project_pairs
-from .stabilize import NotStabilizedError, StabilizeConfig, stabilize
+from .stabilize import NotStabilizedError, check_tau, stabilize
 
 __all__ = ["main", "parse_budgets"]
 
@@ -75,8 +75,10 @@ def _arg_type(parse):
 
 
 # option values checked by the library's own validation
-_REG_EPS = _arg_type(lambda text: Tolerances(float(text)).svd_truncation_eps)
-_TAU = _arg_type(lambda text: StabilizeConfig(tau=float(text)).tau)
+_REG_EPS = _arg_type(
+    lambda text: ExperimentConfig(regularization_eps=float(text)).regularization_eps
+)
+_TAU = _arg_type(check_tau)
 _EXCITATIONS = _arg_type(
     lambda text: ExperimentConfig(
         excitations=tuple(t.strip() for t in text.split(",") if t.strip())
@@ -198,7 +200,7 @@ def _cmd_identify(args) -> int:
     traj = _read(load_trajectory_csv, args.data)
     basis = pod_basis(traj.states, args.budget, mode=args.budget_mode)
     pairs = project_pairs(make_pairs(traj), basis.modes)
-    model = fit_reduced_iodmd(pairs, basis, Tolerances(svd_truncation_eps=args.reg_eps))
+    model = fit_reduced_iodmd(pairs, basis, args.reg_eps)
     save_model_json(model, args.out)
     rho = spectral_radius(model.a)
     print(
@@ -249,7 +251,7 @@ def _cmd_stabilize(args) -> int:
             )
         pairs = project_pairs(pairs, model.basis)
     try:
-        repaired, report = stabilize(model, pairs, StabilizeConfig(tau=args.tau))
+        repaired, report = stabilize(model, pairs, args.tau)
     except NotStabilizedError as exc:
         print(f"stabilization failed: {exc}", file=sys.stderr)
         return 2

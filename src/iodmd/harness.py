@@ -20,7 +20,7 @@ import numpy as np
 
 from .excite import ExcitationSpec, generate_excitation, target_input
 from .identify import StateSpaceModel, fit_reduced_iodmd
-from .linalg import Tolerances, spectral_radius
+from .linalg import spectral_radius
 from .plant import (
     SimConfig,
     build_transport_plant,
@@ -30,7 +30,7 @@ from .plant import (
 )
 from .pod import PodBasis, pod_sweep
 from .snapshot import SnapshotPairs, make_pairs, project_pairs
-from .stabilize import NotStabilizedError, StabilizeConfig, stabilize
+from .stabilize import NotStabilizedError, stabilize
 
 __all__ = [
     "EXCITATIONS",
@@ -158,15 +158,15 @@ def _run_cell(
     row = ExperimentRow(tag, budget)
     try:
         pairs = replace(projected, x0=projected.x0[: basis.order], x1=projected.x1[: basis.order])
-        model = fit_reduced_iodmd(
-            pairs, basis, Tolerances(svd_truncation_eps=cfg.regularization_eps)
-        )
+        # the fit and the repair take three positional arguments each, the
+        # form in which bench/run.py's SweepCapture wraps them
+        model = fit_reduced_iodmd(pairs, basis, cfg.regularization_eps)
         row.reduced_order = model.order
         row.rho_before = row.rho_after = spectral_radius(model.a)
         row.stable_before = bool(row.rho_before < 1.0)
         if cfg.stabilize and not row.stable_before:
             try:
-                model, report = stabilize(model, pairs, StabilizeConfig())
+                model, report = stabilize(model, pairs, 0.0)
                 row.stabilized = True
             except NotStabilizedError as exc:
                 # keep the unstable fit for scoring, flag the row

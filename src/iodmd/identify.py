@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import Tolerances, machine_rank, pinv_apply, truncated_svd
+from .linalg import pinv_apply, truncated_svd
 from .linalg import _as_real_matrix, _positive_finite
 from .pod import PodBasis
 from .snapshot import SnapshotPairs
@@ -124,43 +124,43 @@ def _split_blocks(
     )
 
 
-def fit_dmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
+def fit_dmd(pairs: SnapshotPairs, eps: float = 0.0) -> StateSpaceModel:
     """Plain DMD: project x1 onto the retained left singular basis of x0.
 
-    The returned model has order equal to the number of retained singular
-    values, which stop at the truncation threshold and, as in
-    ``pinv_apply``, at the machine-precision rank floor; the basis for
-    lifting back to full dimension is kept on the model.
+    The returned model has order equal to the number of singular values
+    ``truncated_svd(x0, eps)`` retains; the basis for lifting back to full
+    dimension is kept on the model.
     """
     if pairs.n_pairs == 0 or pairs.n_states == 0:
         raise DegenerateDataError("empty snapshot pairs")
-    svd = truncated_svd(pairs.x0, tol.svd_truncation_eps)
-    rank = min(svd.rank, machine_rank(svd.singular_values, max(pairs.x0.shape)))
-    if rank == 0:
+    svd = truncated_svd(pairs.x0, eps)
+    if svd.rank == 0:
         raise DegenerateDataError(
             "all singular values fall below the truncation threshold or the "
             "machine-precision rank floor"
         )
-    u = svd.left_vectors[:, :rank]
-    a = u.T @ pairs.x1 @ svd.right_vectors[:, :rank] / svd.singular_values[:rank]
-    return _split_blocks(a, rank, pairs.step_width, basis=u)
+    u = svd.left_vectors
+    a = u.T @ pairs.x1 @ svd.right_vectors / svd.singular_values
+    return _split_blocks(a, svd.rank, pairs.step_width, basis=u)
 
 
-def fit_iodmd(pairs: SnapshotPairs, tol: Tolerances) -> StateSpaceModel:
+def fit_iodmd(pairs: SnapshotPairs, eps: float = 0.0) -> StateSpaceModel:
     """All four blocks from one solve: [A B; C D] = [x1; y0] @ pinv([x0; u0]).
 
-    Empty input or output channels drop out of the stacks, so pairs without
-    outputs give DMD with control and autonomous pairs give x1 @ pinv(x0).
+    ``eps`` is the absolute singular-value cutoff of ``pinv_apply`` (0 keeps
+    every value above the machine-rank floor). Empty input or output
+    channels drop out of the stacks, so pairs without outputs give DMD with
+    control and autonomous pairs give x1 @ pinv(x0).
     """
     data, target = _stacked_data(pairs)
-    g, rank = pinv_apply(data, tol.svd_truncation_eps, target)
+    g, rank = pinv_apply(data, eps, target)
     return _split_blocks(
         g, pairs.n_states, pairs.step_width, underdetermined=rank < data.shape[0]
     )
 
 
 def fit_reduced_iodmd(
-    pairs: SnapshotPairs, basis: PodBasis, tol: Tolerances
+    pairs: SnapshotPairs, basis: PodBasis, eps: float = 0.0
 ) -> StateSpaceModel:
     """ioDMD on pairs whose states are in the coordinates of ``basis``, such
     as ``project_pairs(pairs, basis.modes)``: one state row per orthonormal
@@ -175,7 +175,7 @@ def fit_reduced_iodmd(
     gram_defect = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
     if gram_defect > max(1e-8, 1e-12 * q.shape[0]):
         raise ValueError(f"basis columns not orthonormal (defect {gram_defect:.2e})")
-    model = fit_iodmd(pairs, tol)
+    model = fit_iodmd(pairs, eps)
     model.basis = q
     return model
 
@@ -197,6 +197,7 @@ def to_continuous(model: StateSpaceModel, h: float) -> StateSpaceModel:
         time_domain="continuous",
         step_width=None,
         basis=None if model.basis is None else model.basis.copy(),
+        underdetermined=model.underdetermined,
     )
 
 
@@ -226,8 +227,9 @@ def load_model_json(path) -> StateSpaceModel:
     the flag unset. Every block must be nested as the matrix of its declared
     shape; only a block without rows may be the flat ``[]`` that
     ``tolist()`` writes. A missing key, a dimension that is not a nonnegative
-    integer, a block of another shape and a non-finite entry (NaN, infinity
-    or null) each raise a ValueError that names the key.
+    integer, an ``underdetermined`` that is not a JSON boolean, a block of
+    another shape and a non-finite entry (NaN, infinity or null) each raise
+    a ValueError that names the key.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -240,6 +242,9 @@ def load_model_json(path) -> StateSpaceModel:
             raise ValueError(f"{path}: {key!r} must be a nonnegative integer, got {doc[key]!r}")
     if doc["step_width"] is not None and type(doc["step_width"]) not in (int, float):
         raise ValueError(f"{path}: 'step_width' must be a number, got {doc['step_width']!r}")
+    underdetermined = doc.get("underdetermined", False)
+    if type(underdetermined) is not bool:
+        raise ValueError(f"{path}: 'underdetermined' must be true or false, got {underdetermined!r}")
     r, m, p = doc["order"], doc["m"], doc["p"]
     shapes = {"A": (r, r), "B": (r, m), "C": (p, r), "D": (p, m)}
     if doc.get("basis") is not None:
@@ -270,5 +275,5 @@ def load_model_json(path) -> StateSpaceModel:
         time_domain=doc["time_domain"],
         step_width=doc["step_width"],
         basis=blocks.get("basis"),
-        underdetermined=bool(doc.get("underdetermined", False)),
+        underdetermined=underdetermined,
     )

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "SvdResult",
-    "Tolerances",
     "SpectralRadiusGradient",
     "machine_rank",
     "truncated_svd",
@@ -28,7 +27,8 @@ class SvdResult:
 
     ``left_vectors`` is N x r, ``right_vectors`` is K x r, and
     ``singular_values`` holds the r retained values in nonincreasing order.
-    ``discarded_count`` counts the singular values cut by the threshold.
+    ``discarded_count`` counts the singular values cut, by the threshold or
+    by the machine-rank floor.
     """
 
     left_vectors: np.ndarray
@@ -39,21 +39,6 @@ class SvdResult:
     @property
     def rank(self) -> int:
         return self.singular_values.size
-
-
-@dataclass
-class Tolerances:
-    """Numerical tolerances shared by the identification routines.
-
-    ``svd_truncation_eps`` is an absolute cutoff: singular values below it
-    are discarded when forming pseudoinverses (0 keeps everything).
-    """
-
-    svd_truncation_eps: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.svd_truncation_eps >= 0.0:
-            raise ValueError("svd_truncation_eps must be >= 0")
 
 
 @dataclass
@@ -96,9 +81,11 @@ def _positive_finite(step, name: str = "step_width") -> None:
 
 
 def truncated_svd(m, eps: float) -> SvdResult:
-    """SVD of ``m`` keeping only singular values >= ``eps`` (0 keeps all).
+    """SVD of ``m`` keeping only singular values >= ``eps`` and above the
+    machine-rank floor of ``machine_rank``, so eps = 0 keeps every value
+    that carries information.
 
-    Non-finite entries raise ValueError.
+    A negative or NaN ``eps`` and non-finite entries raise ValueError.
     """
     a = _as_real_matrix(m)
     if not eps >= 0.0:
@@ -107,7 +94,7 @@ def truncated_svd(m, eps: float) -> SvdResult:
         raise ValueError("matrix contains non-finite entries")
 
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = int(np.count_nonzero(s >= eps)) if eps > 0 else s.size
+    keep = min(int(np.count_nonzero(s >= eps)), machine_rank(s, max(a.shape)))
     return SvdResult(
         left_vectors=u[:, :keep],
         singular_values=s[:keep],
@@ -134,26 +121,19 @@ def pinv_apply(m, eps: float, rhs) -> tuple[np.ndarray, int]:
     """Return ``(rhs @ pinv(m), rank)`` by the eps-truncated SVD pseudoinverse.
 
     ``m`` is N x K and ``rhs`` is P x K; the solution is P x N and ``rank``
-    counts the singular values that were inverted. For eps = 0 the solution
-    is the minimum-Frobenius-norm least-squares solution G of
-    ``G @ m ~ rhs``; singular values at machine-zero level are never
-    inverted. Non-finite entries in ``m`` or ``rhs`` raise ValueError.
+    counts the singular values that were inverted, those ``truncated_svd``
+    keeps. For eps = 0 the solution is the minimum-Frobenius-norm
+    least-squares solution G of ``G @ m ~ rhs``. Non-finite entries in ``m``
+    or ``rhs`` raise ValueError.
     """
     a = _as_real_matrix(m, "m")
     b = _as_real_matrix(rhs, "rhs", cols=a.shape[1])
     if not np.all(np.isfinite(b)):
         raise ValueError("rhs contains non-finite entries")
     svd = truncated_svd(a, eps)
-    rank = min(svd.rank, machine_rank(svd.singular_values, max(a.shape)))
-    if rank == 0:
-        out = np.zeros((b.shape[0], a.shape[0]))
-    else:
-        u = svd.left_vectors[:, :rank]
-        s = svd.singular_values[:rank]
-        v = svd.right_vectors[:, :rank]
-        # rhs @ V @ diag(1/s) @ U^T, evaluated left to right
-        out = (b @ v) / s @ u.T
-    return out, rank
+    # rhs @ V @ diag(1/s) @ U^T, evaluated left to right; rank 0 gives zeros
+    out = (b @ svd.right_vectors) / svd.singular_values @ svd.left_vectors.T
+    return out, svd.rank
 
 
 def spectral_radius(a) -> float:

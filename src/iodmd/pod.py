@@ -42,13 +42,6 @@ class PodBasis:
         return self.modes.shape[1]
 
 
-def _tail_energies(s: np.ndarray, dim_max: int) -> np.ndarray:
-    """tail[k] = sqrt(sum of s[k:]**2), with machine-noise values zeroed."""
-    s = s.copy()
-    s[machine_rank(s, dim_max) :] = 0.0
-    return np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])
-
-
 def _dense_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     svd = truncated_svd(x, eps=0.0)
     return svd.left_vectors, svd.singular_values
@@ -64,8 +57,9 @@ def check_budget(budget: float) -> float:
 
 def _bases(x, error_budgets, mode: str, factor) -> list[PodBasis]:
     """One basis per budget from the left singular vectors and values that
-    ``factor(x)`` returns. Every argument is checked first, so that bad
-    input fails before the factorization."""
+    ``factor(x)`` returns, which stop at the machine-rank floor. Every
+    argument is checked first, so that bad input fails before the
+    factorization."""
     if mode not in ("relative", "absolute"):
         raise ValueError(f"unknown mode {mode!r}")
     error_budgets = [check_budget(budget) for budget in error_budgets]
@@ -77,7 +71,7 @@ def _bases(x, error_budgets, mode: str, factor) -> list[PodBasis]:
         raise ValueError("cannot build a POD basis from a zero snapshot matrix")
 
     u, s = factor(x)
-    tails = _tail_energies(s, max(x.shape))
+    tails = np.sqrt(np.cumsum(s[::-1] ** 2)[::-1])
     out = []
     for budget in error_budgets:
         threshold = budget * norm if mode == "relative" else budget
@@ -107,10 +101,10 @@ def _range_finder_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is the only array here the size of X, and it is released before the
     final SVD. Growth stops once
     ``||X - Q Q^T X||_F <= max(m, n) * eps * sigma_1``, the floor below
-    which ``machine_rank`` zeroes singular values anyway, and the SVD of the
-    small matrix ``Q^T X`` gives the result. A matrix whose sketch would
-    reach min(m, n)/2 columns is close to full rank, and the dense SVD is
-    cheaper there.
+    which ``machine_rank`` cuts singular values anyway, and the SVD of the
+    small matrix ``Q^T X``, cut at that floor, gives the result. A matrix
+    whose sketch would reach min(m, n)/2 columns is close to full rank, and
+    the dense SVD is cheaper there.
     """
     m, n = x.shape
     rng = np.random.default_rng(_SKETCH_SEED)
@@ -137,7 +131,9 @@ def _range_finder_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _dense_svd(x)
     del residual
     ub, s, _ = np.linalg.svd(q.T @ x, full_matrices=False)
-    return q @ ub, s
+    keep = machine_rank(s, max(m, n))
+    # slicing after the product keeps every bit of the kept columns
+    return (q @ ub)[:, :keep], s[:keep]
 
 
 def pod_basis(x, error_budget: float, mode: str = "relative") -> PodBasis:

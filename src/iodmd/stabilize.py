@@ -39,7 +39,6 @@ from .linalg import spectral_radius, spectral_radius_gradient
 from .snapshot import SnapshotPairs
 
 __all__ = [
-    "StabilizeConfig",
     "StabilizeReport",
     "NotStabilizedError",
     "stabilize",
@@ -78,18 +77,13 @@ _MAX_BISECTIONS = 25
 _MEMO_SIZE = 64
 
 
-@dataclass
-class StabilizeConfig:
-    """Settings for the exact-penalty stabilization solve.
-
-    tau is the stability margin: the repaired model has rho(A) < 1 - tau.
-    """
-
-    tau: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tau < 1.0:
-            raise ValueError("tau must lie in [0, 1)")
+def check_tau(tau: float) -> float:
+    """``tau`` as a float, or ValueError when it is no stability margin: the
+    repaired model has rho(A) < 1 - tau, so tau must lie in [0, 1)."""
+    tau = float(tau)
+    if not 0.0 <= tau < 1.0:
+        raise ValueError("tau must lie in [0, 1)")
+    return tau
 
 
 @dataclass
@@ -335,7 +329,7 @@ def _line_search(phi, slope_at, phi0, slope0):
 def stabilize(
     model: StateSpaceModel,
     pairs: SnapshotPairs,
-    config: StabilizeConfig | None = None,
+    tau: float = 0.0,
 ) -> tuple[StateSpaceModel, StabilizeReport]:
     """Shift the spectral radius of a discrete model below 1 - tau.
 
@@ -345,12 +339,12 @@ def stabilize(
     always satisfies rho(A) < 1 - tau; if no acceptable iterate is ever
     found, NotStabilizedError is raised with the closest attempt attached.
     """
-    config = StabilizeConfig() if config is None else config
+    tau = check_tau(tau)
     _check_inputs(model, pairs)
 
     order = model.order
     z0 = model.blocks()
-    boundary = 1.0 - config.tau
+    boundary = 1.0 - tau
     memo = _SpectralMemo()
     objective = _Objective(pairs)
     f0 = objective.value(z0)

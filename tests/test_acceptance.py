@@ -14,7 +14,7 @@ import pytest
 
 from iodmd.harness import ExperimentConfig, run_experiment
 from iodmd.identify import StateSpaceModel, fit_iodmd
-from iodmd.linalg import Tolerances, spectral_radius, spectral_radius_gradient
+from iodmd.linalg import spectral_radius, spectral_radius_gradient
 from iodmd.pod import pod_basis
 from iodmd.plant import simulate_discrete
 from iodmd.snapshot import make_pairs
@@ -63,7 +63,7 @@ def test_criterion_1_exact_recovery_of_random_systems():
         )
         u = rng.standard_normal((2, 100))
         traj = simulate_discrete(system, u, x0=rng.standard_normal(10))
-        fitted = fit_iodmd(make_pairs(traj), Tolerances(svd_truncation_eps=0.0))
+        fitted = fit_iodmd(make_pairs(traj), eps=0.0)
         for got, want in (
             (fitted.a, system.a),
             (fitted.b, system.b),

@@ -19,7 +19,7 @@ from iodmd.snapshot import (
     project_pairs,
     save_trajectory_csv,
 )
-from iodmd.stabilize import NotStabilizedError, StabilizeConfig, StabilizeReport, stabilize
+from iodmd.stabilize import NotStabilizedError, StabilizeReport, stabilize
 
 
 def test_parse_budgets_decade_range():
@@ -127,9 +127,7 @@ def test_identify_then_stabilize_roundtrip(tmp_path, capsys):
     traj = load_trajectory_csv(data)
     expected_basis = pod_basis(traj.states, 1e-6).modes
     assert np.array_equal(model.basis.view(np.uint64), expected_basis.view(np.uint64))
-    expected, _ = stabilize(
-        model, project_pairs(make_pairs(traj), model.basis), StabilizeConfig()
-    )
+    expected, _ = stabilize(model, project_pairs(make_pairs(traj), model.basis))
     assert np.array_equal(repaired.blocks().view(np.uint64), expected.blocks().view(np.uint64))
     assert np.array_equal(repaired.basis, model.basis)
 
@@ -200,10 +198,10 @@ def write_small_model_and_data(tmp_path):
 
 def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
     model_path, data = write_small_model_and_data(tmp_path)
-    configs = []
+    taus = []
 
-    def fake_stabilize(model, pairs, config):
-        configs.append(config)
+    def fake_stabilize(model, pairs, tau):
+        taus.append(tau)
         report = StabilizeReport(
             iterations_total=1,
             iterations_to_first_stable=1,
@@ -229,13 +227,13 @@ def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
         ]
     )
     assert code == 0
-    assert configs == [StabilizeConfig(tau=0.1)]
+    assert taus == [0.1]
 
 
 def test_a_failed_repair_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
     model_path, data = write_small_model_and_data(tmp_path)
 
-    def fail(model, pairs, config):
+    def fail(model, pairs, tau):
         report = StabilizeReport(
             iterations_total=9,
             iterations_to_first_stable=-1,
@@ -276,16 +274,16 @@ def test_a_failed_repair_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsy
         (["run", "--excitations", "target,target", "--out", "{out}"],
          "duplicate excitation tags"),
         (["run", "--reg-eps", "nan", "--out", "{out}"],
-         "svd_truncation_eps must be >= 0"),
+         "regularization_eps must be >= 0"),
         (["identify", "--data", "{missing}", "--budget", "0.1",
-          "--reg-eps", "nan", "--out", "{out}"], "svd_truncation_eps must be >= 0"),
+          "--reg-eps", "nan", "--out", "{out}"], "regularization_eps must be >= 0"),
         # negative values in e-notation reach the same checks
         (["identify", "--data", "{missing}", "--budget", "-1e-3",
           "--out", "{out}"], "error budget must be nonnegative"),
         (["stabilize", "--model", "{missing}", "--data", "{missing}",
           "--out", "{out}", "--tau", "-1e-1"], "tau must lie in [0, 1)"),
         (["run", "--reg-eps", "-1e-5", "--out", "{out}"],
-         "svd_truncation_eps must be >= 0"),
+         "regularization_eps must be >= 0"),
         # and so do negative infinities and NaN
         (["identify", "--data", "{missing}", "--budget", "-inf",
           "--out", "{out}"], "error budget must be nonnegative"),
@@ -294,9 +292,9 @@ def test_a_failed_repair_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsy
         (["stabilize", "--model", "{missing}", "--data", "{missing}",
           "--out", "{out}", "--tau", "-inf"], "tau must lie in [0, 1)"),
         (["run", "--reg-eps", "-inf", "--out", "{out}"],
-         "svd_truncation_eps must be >= 0"),
+         "regularization_eps must be >= 0"),
         (["run", "--reg-eps", "-Infinity", "--out", "{out}"],
-         "svd_truncation_eps must be >= 0"),
+         "regularization_eps must be >= 0"),
         (["run", "--seed", "-1", "--excitations", "pe_noise", "--budgets", "1e-1",
           "--out", "{out}"], "seed must be nonnegative"),
         # an output file that is a directory or lies in one that does not exist

@@ -97,10 +97,10 @@ def assert_no_model(row, tag, budget, note):
 def test_a_stage_error_becomes_a_row_while_the_other_cells_finish(monkeypatch):
     real_fit = harness.fit_reduced_iodmd
 
-    def fit(pairs, basis, tol):
+    def fit(pairs, basis, eps):
         if basis.requested_error == 1e-2:
             raise np.linalg.LinAlgError("injected")
-        return real_fit(pairs, basis, tol)
+        return real_fit(pairs, basis, eps)
 
     monkeypatch.setattr(harness, "fit_reduced_iodmd", fit)
     budgets = (1e-1, 1e-2, 1e-3)
@@ -141,7 +141,7 @@ def test_a_failed_repair_keeps_the_unstable_fit_and_its_report(monkeypatch):
         converged=False,
     )
 
-    def fail(model, pairs, config):
+    def fail(model, pairs, tau):
         raise NotStabilizedError("injected", model, report)
 
     # the noise fit at budget 1e-1 is unstable, yet its replay stays finite
@@ -187,14 +187,14 @@ def test_each_excitation_is_projected_once_for_fit_and_repair(monkeypatch):
         projected_kinds.append(cell["kind"])
         return real["project_pairs"](pairs, q)
 
-    def fit(pairs, basis, tol):
+    def fit(pairs, basis, eps):
         cell["key"] = (cell["kind"], basis.requested_error)
         fits[cell["key"]] = (pairs, basis)
-        return real["fit_reduced_iodmd"](pairs, basis, tol)
+        return real["fit_reduced_iodmd"](pairs, basis, eps)
 
-    def repair(model, pairs, config):
+    def repair(model, pairs, tau):
         repairs[cell["key"]] = pairs
-        return real["stabilize"](model, pairs, config)
+        return real["stabilize"](model, pairs, tau)
 
     for name, wrapper in zip(names, (generate, project, fit, repair)):
         monkeypatch.setattr(harness, name, wrapper)

@@ -15,7 +15,6 @@ from iodmd.identify import (
     save_model_json,
     to_continuous,
 )
-from iodmd.linalg import Tolerances
 from iodmd.pod import PodBasis, pod_basis
 from iodmd.snapshot import SnapshotPairs, TrajectoryData, make_pairs, project_pairs
 from iodmd.plant import simulate_discrete
@@ -44,7 +43,7 @@ def pairs_from(system, seed, k=60):
 def test_iodmd_recovers_all_blocks_exactly():
     for seed in range(3):
         system = random_system(seed)
-        fitted = fit_iodmd(pairs_from(system, seed), Tolerances())
+        fitted = fit_iodmd(pairs_from(system, seed))
         assert np.linalg.norm(fitted.a - system.a) < 1e-10
         assert np.linalg.norm(fitted.b - system.b) < 1e-10
         assert np.linalg.norm(fitted.c - system.c) < 1e-10
@@ -58,7 +57,7 @@ def test_dmdc_recovers_state_equation():
     system = random_system(11)
     full = pairs_from(system, 11)
     pairs = SnapshotPairs(x0=full.x0, x1=full.x1, u0=full.u0)
-    fitted = fit_iodmd(pairs, Tolerances())
+    fitted = fit_iodmd(pairs)
     oracle = pairs.x1 @ np.linalg.pinv(np.vstack([pairs.x0, pairs.u0]))
     assert np.allclose(fitted.blocks(), oracle, atol=1e-10)
     assert np.linalg.norm(fitted.a - system.a) < 1e-10
@@ -78,7 +77,7 @@ def test_iodmd_minimizes_least_squares_on_noisy_data():
         y0=pairs.y0,
         step_width=pairs.step_width,
     )
-    fitted = fit_iodmd(noisy, Tolerances())
+    fitted = fit_iodmd(noisy)
     data = np.vstack([noisy.x0, noisy.u0])
     target = np.vstack([noisy.x1, noisy.y0])
     residual = fitted.blocks() @ data - target
@@ -88,7 +87,7 @@ def test_iodmd_minimizes_least_squares_on_noisy_data():
 def test_iodmd_underdetermined_takes_minimum_norm_solution():
     system = random_system(3)
     pairs = pairs_from(system, 3, k=5)  # 4 pairs for 6 data rows
-    fitted = fit_iodmd(pairs, Tolerances())
+    fitted = fit_iodmd(pairs)
     assert fitted.underdetermined
     data = np.vstack([pairs.x0, pairs.u0])
     target = np.vstack([pairs.x1, pairs.y0])
@@ -103,7 +102,7 @@ def test_truncation_eps_matches_manual_svd_oracle():
     target = np.vstack([pairs.x1, pairs.y0])
     u, s, vt = np.linalg.svd(data, full_matrices=False)
     eps = float(s[3])  # keep exactly three singular values
-    fitted = fit_iodmd(pairs, Tolerances(svd_truncation_eps=eps * 1.0000001))
+    fitted = fit_iodmd(pairs, eps * 1.0000001)
     oracle = (target @ vt[:3].T) / s[:3] @ u[:, :3].T
     assert np.allclose(fitted.blocks(), oracle, atol=1e-9)
     assert fitted.underdetermined
@@ -118,7 +117,7 @@ def test_plain_dmd_recovers_spectrum_from_autonomous_data():
     for k in range(29):
         x[:, k + 1] = a @ x[:, k]
     traj = TrajectoryData(states=x)
-    model = fit_dmd(make_pairs(traj), Tolerances())
+    model = fit_dmd(make_pairs(traj))
     assert model.order == 4
     lifted = model.basis @ model.a @ model.basis.T
     assert np.linalg.norm(lifted - a) < 1e-8
@@ -134,7 +133,7 @@ def test_fit_dmd_never_inverts_machine_noise_singular_values():
     a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
     x0 = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 40))
     x1 = a @ x0
-    model = fit_dmd(SnapshotPairs(x0=x0, x1=x1), Tolerances())
+    model = fit_dmd(SnapshotPairs(x0=x0, x1=x1))
     assert model.order == 3
     u = model.basis
     residual = np.linalg.norm(u @ model.a @ u.T @ x0 - u @ u.T @ x1)
@@ -143,17 +142,17 @@ def test_fit_dmd_never_inverts_machine_noise_singular_values():
 
 def test_fit_dmd_degenerate_data():
     with pytest.raises(DegenerateDataError):
-        fit_dmd(SnapshotPairs(x0=np.zeros((2, 3)), x1=np.zeros((2, 3))), Tolerances())
+        fit_dmd(SnapshotPairs(x0=np.zeros((2, 3)), x1=np.zeros((2, 3))))
     pairs = SnapshotPairs(x0=np.ones((2, 3)), x1=np.ones((2, 3)))
     with pytest.raises(DegenerateDataError):
-        fit_dmd(pairs, Tolerances(svd_truncation_eps=1e9))
+        fit_dmd(pairs, 1e9)
 
 
 def test_iodmd_fits_autonomous_pairs():
     # no inputs and no outputs: the solve is x1 @ pinv(x0)
     rng = np.random.default_rng(17)
     pairs = SnapshotPairs(x0=rng.standard_normal((3, 8)), x1=rng.standard_normal((3, 8)))
-    fitted = fit_iodmd(pairs, Tolerances())
+    fitted = fit_iodmd(pairs)
     assert np.allclose(fitted.a, pairs.x1 @ np.linalg.pinv(pairs.x0), atol=1e-12)
     assert (fitted.n_inputs, fitted.n_outputs) == (0, 0)
     assert not fitted.underdetermined
@@ -163,7 +162,7 @@ def test_reduced_iodmd_reproduces_projected_dynamics():
     system = random_system(21, n=6, m=1, q=1)
     pairs = pairs_from(system, 21, k=80)
     basis = pod_basis(pairs.x0, 1e-12, mode="relative")
-    model = fit_reduced_iodmd(project_pairs(pairs, basis.modes), basis, Tolerances())
+    model = fit_reduced_iodmd(project_pairs(pairs, basis.modes), basis)
     assert model.order == basis.order
     assert model.basis is basis.modes
     q = basis.modes
@@ -178,7 +177,7 @@ def test_reduced_iodmd_rejects_non_orthonormal_basis():
     basis = pod_basis(pairs.x0, 1e-6)
     basis.modes = 2.0 * basis.modes
     with pytest.raises(ValueError, match="not orthonormal"):
-        fit_reduced_iodmd(project_pairs(pairs, basis.modes), basis, Tolerances())
+        fit_reduced_iodmd(project_pairs(pairs, basis.modes), basis)
 
 
 def test_reduced_iodmd_needs_pairs_in_basis_coordinates():
@@ -188,13 +187,13 @@ def test_reduced_iodmd_needs_pairs_in_basis_coordinates():
     basis = pod_basis(pairs.x0, 1e-1)
     assert 0 < basis.order < pairs.n_states
     with pytest.raises(ValueError, match=f"6 states, the basis has {basis.order} columns"):
-        fit_reduced_iodmd(pairs, basis, Tolerances())
+        fit_reduced_iodmd(pairs, basis)
     fewer = project_pairs(pairs, basis.modes[:, :-1])
     with pytest.raises(ValueError, match=f"{basis.order - 1} states, the basis has {basis.order} columns"):
-        fit_reduced_iodmd(fewer, basis, Tolerances())
+        fit_reduced_iodmd(fewer, basis)
     empty = PodBasis(np.zeros((6, 0)), np.zeros(0), 0.0, 0.0)
     with pytest.raises(ValueError, match="0 states, the basis has 0 columns"):
-        fit_reduced_iodmd(project_pairs(pairs, empty.modes), empty, Tolerances())
+        fit_reduced_iodmd(project_pairs(pairs, empty.modes), empty)
 
 
 def test_to_continuous_inverts_explicit_euler():
@@ -206,6 +205,9 @@ def test_to_continuous_inverts_explicit_euler():
     assert np.allclose(cont.b, model.b / 0.25)
     assert np.array_equal(cont.c, model.c)
     assert np.array_equal(cont.d, model.d)
+    assert not cont.underdetermined
+    flagged = StateSpaceModel(a=0.5 * np.eye(2), underdetermined=True)
+    assert to_continuous(flagged, 0.1).underdetermined
     with pytest.raises(ValueError):
         to_continuous(cont, h=0.25)
     with pytest.raises(ValueError):
@@ -289,6 +291,22 @@ def without(key):
         ),
         (lambda doc: {**doc, "C": [[1.0, "x", 0.0, 0.0]]}, "block C is not a matrix of numbers"),
         (lambda doc: [doc], "expected a JSON object, found list"),
+        (
+            lambda doc: {**doc, "underdetermined": "false"},
+            "'underdetermined' must be true or false, got 'false'",
+        ),
+        (
+            lambda doc: {**doc, "underdetermined": "no"},
+            "'underdetermined' must be true or false, got 'no'",
+        ),
+        (
+            lambda doc: {**doc, "underdetermined": 2},
+            "'underdetermined' must be true or false, got 2",
+        ),
+        (
+            lambda doc: {**doc, "underdetermined": {"x": 1}},
+            "'underdetermined' must be true or false, got {'x': 1}",
+        ),
     ],
     ids=[
         "no_d",
@@ -300,6 +318,10 @@ def without(key):
         "nested_b",
         "text_c",
         "list",
+        "text_false_flag",
+        "text_no_flag",
+        "integer_flag",
+        "object_flag",
     ],
 )
 def test_malformed_model_json_names_the_file_and_the_key(tmp_path, edit, message):

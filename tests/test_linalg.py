@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iodmd.identify import fit_dmd
 from iodmd.linalg import (
-    Tolerances,
     _as_real_matrix,
     machine_rank,
     pinv_apply,
@@ -14,6 +14,7 @@ from iodmd.linalg import (
     spectral_radius_gradient,
     truncated_svd,
 )
+from iodmd.snapshot import SnapshotPairs
 
 
 def random_matrix(seed, shape=(6, 5)):
@@ -209,18 +210,34 @@ def test_spectral_radius_gradient_zero_matrix_raises():
 
 
 def test_tolerances_validation():
-    assert Tolerances().svd_truncation_eps == 0.0
-    with pytest.raises(ValueError):
-        Tolerances(svd_truncation_eps=-1e-3)
+    # the cutoff is a plain argument, checked where truncated_svd uses it
+    m, rhs = random_matrix(2, (4, 9)), random_matrix(3, (3, 9))
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        pinv_apply(m, -1e-3, rhs)
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        fit_dmd(SnapshotPairs(x0=m, x1=m), -1e-3)
+    assert pinv_apply(m, 0.0, rhs)[1] == 4
 
 
 def test_nan_cutoff_is_rejected():
     # NaN fails every comparison; read as "no cutoff" it would keep every
     # singular value where the caller asked for some cutoff
     with pytest.raises(ValueError):
-        Tolerances(svd_truncation_eps=float("nan"))
+        pinv_apply(np.eye(2), float("nan"), np.eye(2))
     with pytest.raises(ValueError):
         truncated_svd(np.eye(2), eps=float("nan"))
+
+
+def test_the_machine_rank_floor_cuts_inside_truncated_svd():
+    # a 6x8 product of rank 3: three singular values are rounding noise
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 8))
+    svd = truncated_svd(m, 0.0)
+    assert (svd.rank, svd.discarded_count) == (3, 3)
+    assert svd.left_vectors.shape == (6, 3) and svd.right_vectors.shape == (8, 3)
+    # the solves take the rank as truncated_svd returns it
+    assert pinv_apply(m, 0.0, rng.standard_normal((2, 8)))[1] == svd.rank
+    assert fit_dmd(SnapshotPairs(x0=m, x1=m), 0.0).order == svd.rank
 
 
 @given(st.integers(0, 10_000))

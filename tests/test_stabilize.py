@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iodmd.identify import StateSpaceModel, fit_iodmd
-from iodmd.linalg import Tolerances, spectral_radius
+from iodmd.linalg import spectral_radius
 from iodmd.snapshot import SnapshotPairs
 from iodmd.stabilize import (
     _MEMO_SIZE,
     _MEMORY,
     NotStabilizedError,
-    StabilizeConfig,
     StabilizeReport,
     _InverseHessian,
     _line_search,
     _modulus_clip_shift,
+    check_tau,
     save_report_json,
     stabilize,
 )
@@ -55,7 +55,7 @@ def noisy_unstable_fit(seed, order=5, k=60, rho_target=1.3):
     x1 += 0.05 * rng.standard_normal(x1.shape)
     y0 = rng.standard_normal((1, order)) @ x0
     pairs = SnapshotPairs(x0=x0, x1=x1, u0=u0, y0=y0)
-    model = fit_iodmd(pairs, Tolerances())
+    model = fit_iodmd(pairs)
     model.a *= rho_target / spectral_radius(model.a)  # push it outside the disk
     return model, pairs
 
@@ -112,7 +112,7 @@ def test_scalar_data_fit_with_exact_data():
 
 def test_tau_moves_the_boundary():
     model = scalar_model(1.2)
-    out, report = stabilize(model, closest_model_pairs(model), StabilizeConfig(tau=0.25))
+    out, report = stabilize(model, closest_model_pairs(model), tau=0.25)
     a_s = out.a[0, 0]
     assert 0.75 - 1e-6 <= a_s < 0.75
     assert report.final_spectral_radius < 0.75
@@ -218,10 +218,13 @@ def test_a_solve_that_never_gets_inside_raises_with_its_closest_attempt(monkeypa
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        StabilizeConfig(tau=1.0)
-    with pytest.raises(ValueError):
-        StabilizeConfig(tau=float("nan"))
+    assert check_tau(0.25) == 0.25
+    for tau in (1.0, float("nan"), -0.1):
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\)"):
+            check_tau(tau)
+        # stabilize checks tau before it reads the model or the data
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\)"):
+            stabilize(None, None, tau)
 
 
 def test_report_json_roundtrip(tmp_path):
