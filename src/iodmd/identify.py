@@ -44,7 +44,10 @@ class StateSpaceModel:
     """State-space blocks (A, B, C, D) with a discrete/continuous tag.
 
     Every block is a 2-D matrix: A is r x r, B is r x M, C is Q x r and D
-    is Q x M, with None for an empty block (an all-zero D). ``basis``
+    is Q x M, with None for an empty block (an all-zero D). A may be a
+    ``scipy.sparse`` array, which only the transport plant's is: the
+    simulators take it, while ``blocks()``, the fits, the repair and the
+    model JSON work on dense blocks. ``basis``
     optionally keeps the N x r projection that lifts reduced states back to
     full dimension; ``underdetermined`` flags fits whose data matrix had
     lower rank than rows, where the returned blocks are the minimum-norm

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "SvdResult",
@@ -64,10 +65,11 @@ def _as_real_matrix(
     free. When at least one count is fixed, ``m=None`` is the missing block:
     zeros of the fixed counts, with 0 for a free one. Nothing is promoted, so
     a 1-D or scalar ``m``, and None with both counts free, raise ValueError.
+    A ``scipy.sparse`` input stays sparse, as float, under the same rule.
     """
     if m is None and (rows, cols) != (None, None):
         return np.zeros((rows or 0, cols or 0))
-    a = np.asarray(m, dtype=float)
+    a = m.astype(float, copy=False) if sparse.issparse(m) else np.asarray(m, dtype=float)
     if a.ndim != 2 or rows not in (None, a.shape[0]) or cols not in (None, a.shape[1]):
         want = "x".join("*" if k is None else str(k) for k in (rows, cols))
         raise ValueError(f"{name} must be a {want} matrix, got shape {a.shape}")

@@ -59,20 +59,18 @@ class SimConfig:
 def build_transport_plant(speed: float, dx: float) -> StateSpaceModel:
     """Upwind semi-discretization of transport on [0, 1].
 
-    N = round(1/dx) cells; the state operator is lower bidiagonal with
-    -speed/dx on the diagonal and +speed/dx below it, the boundary inflow
-    enters the first cell scaled by speed/dx, and the output reads the
-    last cell.
+    N = round(1/dx) cells. The state operator is lower bidiagonal, with
+    -speed/dx on the diagonal and +speed/dx below it, and is stored as a
+    sparse CSC array of its 2N - 1 entries. The boundary inflow enters the
+    first cell scaled by speed/dx, and the output reads the last cell. A
+    NaN, infinite or non-positive speed raises ValueError.
     """
-    if speed <= 0:
-        raise ValueError("transport speed must be positive")
+    _positive_finite(speed, "transport speed")
     if not 0 < dx <= 1:
         raise ValueError("dx must lie in (0, 1]")
     n = int(round(1.0 / dx))
     rate = speed / dx
-    a = np.zeros((n, n))
-    a[np.arange(n), np.arange(n)] = -rate
-    a[np.arange(1, n), np.arange(n - 1)] = rate
+    a = sparse.diags_array([-rate, rate], offsets=[0, -1], shape=(n, n), format="csc")
     b = np.zeros((n, 1))
     b[0, 0] = rate
     c = np.zeros((1, n))
@@ -105,7 +103,8 @@ def simulate_continuous(model: StateSpaceModel, u, x0, cfg: SimConfig) -> Trajec
     Steps x_{k+1} = (I - dt A)^{-1} (x_k + dt B u_*), where u_* is
     u_{k+1} or u_k depending on cfg.input_timing, and reads
     y_k = C x_k + D u_k. The sparse LU of (I - dt A) is computed once and
-    reused for every step.
+    reused for every step; a sparse A, such as the transport plant's, is
+    factored as stored, and a dense one is converted first.
     """
     steps = cfg.n_steps
     u_arr, start = _checked_run(model, "continuous", u, x0, steps + 1)

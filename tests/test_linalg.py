@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from iodmd.identify import fit_dmd
 from iodmd.linalg import (
@@ -124,6 +125,13 @@ def test_pinv_apply_never_inverts_machine_zeros():
         ([1, 2, 3], 3, None, "b must be a 3x* matrix, got shape (3,)"),
         (2.0, 1, 1, "b must be a 1x1 matrix, got shape ()"),
         (np.ones((1, 1, 1)), 1, 1, "b must be a 1x1 matrix, got shape (1, 1, 1)"),
+        # a sparse matrix stays sparse, as float, under the same rule
+        (sparse.csc_array([[1, 0, 3]]), 1, 3, (1, 3)),
+        (sparse.csr_matrix([[1, 0, 3]]), None, None, (1, 3)),
+        (sparse.csc_array([[1, 0, 3]]), 3, None, "b must be a 3x* matrix, got shape (1, 3)"),
+        (sparse.csc_array([[1, 0, 3]]), None, 2, "b must be a *x2 matrix, got shape (1, 3)"),
+        (sparse.coo_array([[1, 0, 3]]), 1, 2, "b must be a 1x2 matrix, got shape (1, 3)"),
+        (sparse.coo_array([1, 0, 3]), None, None, "b must be a *x* matrix, got shape (3,)"),
     ],
 )
 def test_one_shape_rule_for_every_matrix(m, rows, cols, expected):
@@ -134,8 +142,11 @@ def test_one_shape_rule_for_every_matrix(m, rows, cols, expected):
         return
     a = _as_real_matrix(m, "b", rows, cols)
     assert a.dtype == float and a.shape == expected
+    assert sparse.issparse(a) == sparse.issparse(m)
     if m is None:
         assert not a.any()
+    elif sparse.issparse(m):
+        assert np.array_equal(a.toarray(), m.toarray())
     else:
         assert np.array_equal(a, m)
 

@@ -4,7 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from iodmd.excite import ExcitationSpec, generate_excitation
 from iodmd.identify import StateSpaceModel
 from iodmd.plant import (
     SimConfig,
@@ -26,7 +28,8 @@ def test_transport_plant_structure():
             [0.0, 0.0, rate, -rate],
         ]
     )
-    assert np.array_equal(plant.a, expected)
+    assert sparse.issparse(plant.a) and plant.a.nnz == 2 * 4 - 1
+    assert np.array_equal(plant.a.toarray(), expected)
     assert np.array_equal(plant.b, [[rate], [0.0], [0.0], [0.0]])
     assert np.array_equal(plant.c, [[0.0, 0.0, 0.0, 1.0]])
     assert np.array_equal(plant.d, [[0.0]])
@@ -36,9 +39,30 @@ def test_transport_plant_structure():
 
 def test_transport_plant_validation():
     with pytest.raises(ValueError):
-        build_transport_plant(speed=0.0, dx=0.1)
-    with pytest.raises(ValueError):
         build_transport_plant(speed=1.0, dx=1.5)
+
+
+@pytest.mark.parametrize("speed", [np.nan, np.inf, 0.0, -1.0])
+def test_transport_plant_needs_a_positive_finite_speed(speed):
+    with pytest.raises(ValueError, match="need a positive finite transport speed"):
+        build_transport_plant(speed=speed, dx=0.25)
+
+
+def test_transport_plant_holds_only_its_two_bands(traced_peak):
+    # a dense 1000x1000 A would take 7.6 MiB
+    plant, peak = traced_peak(build_transport_plant, 1.3, 1e-3)
+    assert plant.order == 1000
+    assert peak < 0.1e6
+
+
+@pytest.mark.parametrize("kind", ["pe_gaussian_noise", "ce_gaussian_init"])
+def test_sparse_and_dense_plants_simulate_to_the_bit(kind):
+    plant = build_transport_plant(speed=1.3, dx=1e-2)
+    dense = StateSpaceModel(plant.a.toarray(), plant.b, plant.c, time_domain="continuous")
+    spec = ExcitationSpec(kind=kind, seed=3)
+    stored, converted = (generate_excitation(model, spec, 1.0, 1e-3) for model in (plant, dense))
+    assert np.array_equal(stored.states, converted.states)
+    assert np.array_equal(stored.outputs, converted.outputs)
 
 
 def test_sim_config_validation():
