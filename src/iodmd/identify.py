@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .linalg import pinv_apply, truncated_svd
 from .linalg import _as_real_matrix, _positive_finite
@@ -47,7 +48,8 @@ class StateSpaceModel:
     is Q x M, with None for an empty block (an all-zero D). A may be a
     ``scipy.sparse`` array, which only the transport plant's is: the
     simulators take it, while ``blocks()``, the fits, the repair and the
-    model JSON work on dense blocks. ``basis``
+    model JSON work on dense blocks; ``blocks()`` and ``save_model_json``
+    raise a ValueError on a sparse A. ``basis``
     optionally keeps the N x r projection that lifts reduced states back to
     full dimension; ``underdetermined`` flags fits whose data matrix had
     lower rank than rows, where the returned blocks are the minimum-norm
@@ -95,10 +97,16 @@ class StateSpaceModel:
 
     def blocks(self) -> np.ndarray:
         """The stacked operator [A B; C D] of shape (r+Q) x (r+M)."""
+        _require_dense_a(self, "blocks()")
         top = np.hstack([self.a, self.b])
         if self.n_outputs == 0:
             return top
         return np.vstack([top, np.hstack([self.c, self.d])])
+
+
+def _require_dense_a(model: StateSpaceModel, needs: str) -> None:
+    if sparse.issparse(model.a):
+        raise ValueError(f"block A is sparse; {needs} needs a dense A")
 
 
 def _stacked_data(pairs: SnapshotPairs) -> tuple[np.ndarray, np.ndarray]:
@@ -207,6 +215,7 @@ def to_continuous(model: StateSpaceModel, h: float) -> StateSpaceModel:
 def save_model_json(model: StateSpaceModel, path) -> None:
     """Serialize a model to JSON, basis and ``underdetermined`` flag included;
     floats round-trip exactly."""
+    _require_dense_a(model, "save_model_json")
     doc = {
         "order": model.order,
         "m": model.n_inputs,

@@ -21,13 +21,20 @@ mu grows tenfold while the iterate is infeasible and mu is below its cap,
 and otherwise the solve stops.  Each remaining escape fires on the
 benchmark and has a test that fails without it: the shift that gives a
 defective dominant eigenvalue a nearby gradient, the Schur clip, the line
-search's strict-decrease pass, and the polish's boundary snap and segment
+search's strict decrease, and the polish's boundary snap and segment
 pullback.
+
+The line search tries each step once: where no step meets the Armijo
+condition, it takes the first strict decrease among the halving steps 1,
+1/2, ..., 2^-44.  Each trial point carries its own spectral radius and
+radius gradient, and the solve passes points rather than arrays, so the A
+block of a point is decomposed once however often the solve reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+import functools
 import json
 import pathlib
 
@@ -69,12 +76,9 @@ _INITIAL_PENALTY = 1.0
 # secant pairs kept by the limited-memory BFGS inverse Hessian
 _MEMORY = 30
 
-# step trials of one weak Wolfe search before it falls back to backtracking
+# step trials of the weak Wolfe expansion and bisection; a search that finds
+# no Armijo step among them halves on to 2^-44 for a strict decrease
 _MAX_BISECTIONS = 25
-
-# A blocks whose spectral radius and radius gradient one solve keeps; the
-# trial points that recur lie a few evaluations apart
-_MEMO_SIZE = 64
 
 
 def check_tau(tau: float) -> float:
@@ -165,39 +169,6 @@ def _radius_gradient(a: np.ndarray) -> np.ndarray:
         scale = 1e-10 * max(1.0, float(np.linalg.norm(a, ord="fro")))
         shift = np.diag(np.linspace(scale, 2.0 * scale, a.shape[0]))
         return spectral_radius_gradient(a + shift).matrix
-
-
-class _SpectralMemo:
-    """Spectral radius and radius gradient of the A blocks one solve visits.
-
-    The solve evaluates the same trial point more than once: phi and its
-    slope at one step, the accepted point again for its gradient and
-    penalty parts, the backtracking pass over the halving steps, the polish.
-    Keyed on the exact bytes of the block, a hit returns what recomputing
-    would.  Each table keeps the _MEMO_SIZE most recently added blocks.
-    Hits hand out the stored gradient itself: callers only read it.
-    """
-
-    def __init__(self) -> None:
-        self._radius: dict = {}
-        self._gradient: dict = {}
-
-    def radius(self, a: np.ndarray) -> float:
-        return self._lookup(self._radius, a, spectral_radius)
-
-    def gradient(self, a: np.ndarray) -> np.ndarray:
-        return self._lookup(self._gradient, a, _radius_gradient)
-
-    @staticmethod
-    def _lookup(table: dict, a: np.ndarray, compute):
-        key = (a.shape, a.tobytes())
-        value = table.get(key)
-        if value is None:
-            value = compute(a)
-            if len(table) >= _MEMO_SIZE:
-                del table[next(iter(table))]
-            table[key] = value
-        return value
 
 
 # no caller in the package; bench/tracing.py still times this name
@@ -291,16 +262,20 @@ class _InverseHessian:
 def _line_search(phi, slope_at, phi0, slope0):
     """Weak Wolfe search (Armijo + weak curvature) by expansion/bisection.
 
-    Returns (t, phi_t, ok).  Nonsmooth kinks can defeat both Wolfe
-    conditions; a backtracking pass then accepts any strict decrease.
-    ok=False means no decrease was found at any tried step.
+    Returns (t, phi_t, ok) and tries each step once.  Nonsmooth kinks can
+    defeat both Wolfe conditions; the search then takes the first strict
+    decrease among the halving steps 1, 1/2, ..., 2^-44.  ok=False means no
+    decrease was found at any tried step.
     """
     c1, c2 = 1e-4, 0.5
     lo, hi = 0.0, np.inf
     t = 1.0
     armijo_t, armijo_phi = None, None
+    decrease = None  # the first step with phi below phi0
     for _ in range(_MAX_BISECTIONS):
         phi_t = phi(t)
+        if decrease is None and np.isfinite(phi_t) and phi_t < phi0:
+            decrease = t, phi_t
         if not np.isfinite(phi_t) or phi_t > phi0 + c1 * t * slope0:
             hi = t
         else:
@@ -317,13 +292,35 @@ def _line_search(phi, slope_at, phi0, slope0):
         return armijo_t, armijo_phi, True
     # Sufficient decrease can be unattainable near an eigenvalue-modulus tie
     # even though the penalty still drops slightly; take any strict decrease.
-    t = 1.0
-    for _ in range(45):
+    # With no Armijo step lo stayed 0, so the loop tried the halving steps
+    # 1, ..., 2^-24 in order and t is the next one.
+    if decrease is not None:
+        return (*decrease, True)
+    while t >= 2.0**-44:
         phi_t = phi(t)
         if np.isfinite(phi_t) and phi_t < phi0:
             return t, phi_t, True
         t *= 0.5
     return 0.0, phi0, False
+
+
+class _Point:
+    """A trial point Z of the solve with the spectral data of its A block.
+
+    rho and its violation beyond the boundary are computed on construction,
+    the radius gradient the first time it is read; readers do not modify
+    either array.
+    """
+
+    def __init__(self, z: np.ndarray, order: int, boundary: float):
+        self.z = z
+        self.a = z[:order, :order]
+        self.rho = spectral_radius(self.a)
+        self.violation = max(0.0, self.rho - boundary)
+
+    @functools.cached_property
+    def gradient(self) -> np.ndarray:
+        return _radius_gradient(self.a)
 
 
 def stabilize(
@@ -342,37 +339,36 @@ def stabilize(
     tau = check_tau(tau)
     _check_inputs(model, pairs)
 
-    order = model.order
     z0 = model.blocks()
     boundary = 1.0 - tau
-    memo = _SpectralMemo()
     objective = _Objective(pairs)
     f0 = objective.value(z0)
     budget = _OBJECTIVE_BUDGET_FACTOR * f0
-    if memo.radius(z0[:order, :order]) < boundary - _FEASIBILITY_MARGIN:
-        z, stable, iterations, first_stable = z0, True, 0, 0
+    start = _Point(z0, model.order, boundary)
+    if start.rho < boundary - _FEASIBILITY_MARGIN:
+        end, stable, iterations, first_stable = start, True, 0, 0
     else:
-        z, stable, iterations, first_stable = _penalty_solve(
-            z0, order, objective, memo, boundary, budget
+        end, stable, iterations, first_stable = _penalty_solve(
+            start, objective, boundary, budget
         )
 
+    z = end.z
     f = objective.value(z)
-    rho = memo.radius(z[:order, :order])
     change = float(np.linalg.norm(z - z0))
     z0_norm = float(np.linalg.norm(z0))
     report = StabilizeReport(
         iterations_total=iterations,
         iterations_to_first_stable=first_stable,
         final_objective_ratio=f / f0 if f0 > 0.0 else (1.0 if f == 0.0 else np.inf),
-        final_spectral_radius=rho,
+        final_spectral_radius=end.rho,
         relative_model_change=change / z0_norm if z0_norm > 0.0 else change,
         converged=stable and f <= budget,
     )
-    repaired = _split_blocks(z, order, model.step_width, model.basis)
+    repaired = _split_blocks(z, model.order, model.step_width, model.basis)
     if not stable:
         raise NotStabilizedError(
             f"no iterate reached spectral radius below {boundary} "
-            f"(best {rho:.6g} after {iterations} iterations)",
+            f"(best {end.rho:.6g} after {iterations} iterations)",
             repaired,
             report,
         )
@@ -380,113 +376,107 @@ def stabilize(
 
 
 def _penalty_solve(
-    z0: np.ndarray,
-    order: int,
+    start: _Point,
     objective: _Objective,
-    memo: _SpectralMemo,
     boundary: float,
     budget: float,
-) -> tuple[np.ndarray, bool, int, int]:
-    """Minimize the penalty from the unstable operator z0, then polish.
+) -> tuple[_Point, bool, int, int]:
+    """Minimize the penalty from the unstable operator at start, then polish.
 
-    Returns (z, stable, iterations, first_stable): the feasible point of
+    Returns (point, stable, iterations, first_stable): the feasible point of
     least objective, else the iterate of least spectral radius, and the
     iteration that first reached a feasible point (-1 if none did).
     """
+    z0 = start.z
+    order = start.a.shape[0]
     mu = _INITIAL_PENALTY
 
-    def penalty_terms(z: np.ndarray) -> tuple[float, float]:
-        """Spectral radius of the A block and its violation beyond the boundary."""
-        rho = memo.radius(z[:order, :order])
-        return rho, max(0.0, rho - boundary)
+    def point(z: np.ndarray) -> _Point:
+        return _Point(z, order, boundary)
 
-    def phi_and_parts(z: np.ndarray):
-        f = objective.value(z)
-        rho, violation = penalty_terms(z)
-        return f + mu * violation, f, rho, violation
-
-    def grad_phi(z: np.ndarray) -> np.ndarray:
-        g = objective.gradient(z)
-        _, violation = penalty_terms(z)
-        if violation > 0.0:
-            grad = np.zeros_like(z)
-            grad[:order, :order] = memo.gradient(z[:order, :order])
+    def grad_phi(pt: _Point) -> np.ndarray:
+        g = objective.gradient(pt.z)
+        if pt.violation > 0.0:
+            grad = np.zeros_like(pt.z)
+            grad[:order, :order] = pt.gradient
             g = g + mu * grad
         return g
 
-    z_cur = z0.copy()
-    phi_z, f_z, rho_z, violation_z = phi_and_parts(z_cur)
-    g = grad_phi(z_cur)
+    cur = start
+    f_cur = objective.value(cur.z)
+    phi_cur = f_cur + mu * cur.violation
+    g = grad_phi(cur)
     hessian = _InverseHessian()
 
-    best_feasible: np.ndarray | None = None
+    best_feasible: _Point | None = None
     best_feasible_f = np.inf
-    best_rho = rho_z
-    best_rho_z = z_cur.copy()
+    best_rho = cur
     first_stable = -1
     stall_count = 0
 
     def try_direction(p: np.ndarray, slope: float):
-        c0, c1, c2 = objective.along(z_cur, p)
+        """(t, point at step t, phi there, ok) of a line search along p."""
+        c0, c1, c2 = objective.along(cur.z, p)
         p_a = p[:order, :order]
+        trials = {}
 
         def phi_at(t: float) -> float:
-            zt = z_cur + t * p
-            _, violation = penalty_terms(zt)
-            return c0 + t * (c1 + t * c2) + mu * violation
+            zt = cur.z + t * p
+            # a step too small to move Z lands on the current point itself
+            same = np.array_equal(zt.view(np.uint64), cur.z.view(np.uint64))
+            trials[t] = pt = cur if same else point(zt)
+            return c0 + t * (c1 + t * c2) + mu * pt.violation
 
         def slope_at(t: float) -> float:
             # d f/dt from the cached quadratic; the penalty term needs only
             # the spectral radius gradient, not the full data gradient
-            zt = z_cur + t * p
+            pt = trials[t]
             value = c1 + 2.0 * c2 * t
-            _, violation = penalty_terms(zt)
-            if violation > 0.0:
-                grad_a = memo.gradient(zt[:order, :order])
-                value += mu * float(np.sum(grad_a * p_a))
+            if pt.violation > 0.0:
+                value += mu * float(np.sum(pt.gradient * p_a))
             return value
 
-        return _line_search(phi_at, slope_at, phi_z, slope)
+        t, phi_t, ok = _line_search(phi_at, slope_at, phi_cur, slope)
+        return t, trials.get(t), phi_t, ok
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        p = -hessian.apply(g.ravel()).reshape(z_cur.shape)
+        p = -hessian.apply(g.ravel()).reshape(cur.z.shape)
         slope = float(g.ravel() @ p.ravel())
         ok = -np.inf < slope < 0.0  # a non-descent direction fails the search
         if ok:
-            t, phi_new, ok = try_direction(p, slope)
-        if not ok and violation_z > 0.0:
+            t, new, phi_new, ok = try_direction(p, slope)
+        if not ok and cur.violation > 0.0:
             # Last resort direction: contract the outer eigenvalue moduli
             # through the real Schur blocks.  Unit step lands rho on the 0.99
             # target up to rounding, which the margin absorbs, so along it the
             # violation falls to zero and sufficiently large mu accepts it.
-            shift = _modulus_clip_shift(z_cur[:order, :order], 0.99 * boundary)
+            shift = _modulus_clip_shift(cur.a, 0.99 * boundary)
             if shift is not None:
-                p = np.zeros_like(z_cur)
+                p = np.zeros_like(cur.z)
                 p[:order, :order] = shift
-                t, phi_new, ok = try_direction(p, -1e-12 * max(1.0, abs(phi_z)))
+                t, new, phi_new, ok = try_direction(p, -1e-12 * max(1.0, abs(phi_cur)))
 
         if ok:
-            z_new = z_cur + t * p
-            g_new = grad_phi(z_new)
+            g_new = grad_phi(new)
             hessian.update(t * p.ravel(), (g_new - g).ravel())
 
-            decrease = phi_z - phi_new
-            z_cur, g = z_new, g_new
-            phi_z, f_z, rho_z, violation_z = phi_and_parts(z_cur)
+            decrease = phi_cur - phi_new
+            cur, g = new, g_new
+            f_cur = objective.value(cur.z)
+            phi_cur = f_cur + mu * cur.violation
 
-            if rho_z < best_rho:
-                best_rho = rho_z
-                best_rho_z = z_cur.copy()
-            if rho_z <= boundary - _FEASIBILITY_MARGIN:
+            if cur.rho < best_rho.rho:
+                best_rho = cur
+            if cur.rho <= boundary - _FEASIBILITY_MARGIN:
                 if first_stable < 0:
                     first_stable = iterations
-                if f_z < best_feasible_f:
-                    best_feasible_f = f_z
-                    best_feasible = z_cur.copy()
-                if f_z <= budget:
+                if f_cur < best_feasible_f:
+                    best_feasible_f = f_cur
+                    best_feasible = cur
+                if f_cur <= budget:
                     break
 
-            if decrease <= _OPT_TOL * max(1.0, abs(phi_z)):
+            if decrease <= _OPT_TOL * max(1.0, abs(phi_cur)):
                 stall_count += 1
             else:
                 stall_count = 0
@@ -494,12 +484,12 @@ def _penalty_solve(
                 continue
         # no decrease in any tried direction, or five stalled steps: the
         # iterate is stationary for this mu, which is too small if infeasible
-        if not (violation_z > 0.0 and mu < _PENALTY_CAP):
+        if not (cur.violation > 0.0 and mu < _PENALTY_CAP):
             break
         mu *= 10.0
         stall_count = 0
-        phi_z = f_z + mu * violation_z
-        g = grad_phi(z_cur)
+        phi_cur = f_cur + mu * cur.violation
+        g = grad_phi(cur)
 
     # Final polish.  Boundary snap: iterates often terminate on or just
     # outside the stability boundary (the penalty kink); scaling the A block
@@ -510,14 +500,14 @@ def _penalty_solve(
     # reduces both the objective and the model change.
     rho_target = boundary * (1.0 - 1e-7)
 
-    def pull_toward_start(z_s: np.ndarray) -> np.ndarray:
-        shift = z_s - z0
-        best = z_s
+    def pull_toward_start(s: _Point) -> _Point:
+        shift = s.z - z0
+        best = s
         lo_eta, hi_eta = 0.0, 1.0
         for _ in range(50):
             eta = 0.5 * (lo_eta + hi_eta)
-            cand = z0 + eta * shift
-            if memo.radius(cand[:order, :order]) <= rho_target:
+            cand = point(z0 + eta * shift)
+            if cand.rho <= rho_target:
                 hi_eta = eta
                 best = cand
             else:
@@ -525,26 +515,27 @@ def _penalty_solve(
         return best
 
     candidates = [] if best_feasible is None else [best_feasible]
-    for cand in (best_rho_z, z_cur):
-        rho_c = memo.radius(cand[:order, :order])
-        if rho_c <= 0.0:
+    # best_rho is often cur itself: snap and pull such a point once
+    for cand in dict.fromkeys((best_rho, cur)):
+        if cand.rho <= 0.0:
             continue
-        snapped = cand.copy()
-        snapped[:order, :order] *= rho_target / rho_c
-        if memo.radius(snapped[:order, :order]) > boundary - _FEASIBILITY_MARGIN:
+        z = cand.z.copy()
+        z[:order, :order] *= rho_target / cand.rho
+        snapped = point(z)
+        if snapped.rho > boundary - _FEASIBILITY_MARGIN:
             continue
         candidates.append(snapped)
     if candidates and first_stable < 0:
         first_stable = iterations
     for cand in candidates:
         pulled = pull_toward_start(cand)
-        f_p = objective.value(pulled)
+        f_p = objective.value(pulled.z)
         if f_p < best_feasible_f:
             best_feasible_f = f_p
             best_feasible = pulled
 
     if best_feasible is None:
-        return best_rho_z, False, iterations, first_stable
+        return best_rho, False, iterations, first_stable
     return best_feasible, True, iterations, first_stable
 
 

@@ -17,7 +17,7 @@ from iodmd.identify import (
 )
 from iodmd.pod import PodBasis, pod_basis
 from iodmd.snapshot import SnapshotPairs, TrajectoryData, make_pairs, project_pairs
-from iodmd.plant import simulate_discrete
+from iodmd.plant import build_transport_plant, simulate_discrete
 
 
 def random_system(seed, n=4, m=2, q=1, rho=0.8):
@@ -253,6 +253,20 @@ def test_model_json_roundtrip_keeps_empty_blocks(tmp_path, model):
         got, want = getattr(back, name), getattr(model, name)
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
+
+
+def test_blocks_needs_a_dense_a():
+    with pytest.raises(ValueError, match=r"block A is sparse; blocks\(\) needs a dense A"):
+        build_transport_plant(1.0, 0.5).blocks()
+
+
+def test_model_json_needs_a_dense_a(tmp_path):
+    plant = build_transport_plant(1.0, 0.5)
+    model = StateSpaceModel(plant.a, plant.b, plant.c, step_width=0.1)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="block A is sparse; save_model_json needs a dense A"):
+        save_model_json(model, path)
+    assert not path.exists()
 
 
 def test_model_json_without_basis_loads_as_before(tmp_path):

@@ -12,7 +12,6 @@ from iodmd.identify import StateSpaceModel, fit_iodmd
 from iodmd.linalg import spectral_radius
 from iodmd.snapshot import SnapshotPairs
 from iodmd.stabilize import (
-    _MEMO_SIZE,
     _MEMORY,
     NotStabilizedError,
     StabilizeReport,
@@ -309,6 +308,19 @@ def test_line_search_takes_a_strict_decrease_the_slope_overstates():
     assert (t, phi_t, ok) == (1.0, 0.999999, True)
 
 
+def test_line_search_tries_each_step_once():
+    # phi never decreases: the search tries the halving steps 1, ..., 2^-44
+    # once each, then reports that no step lowers phi
+    tried = []
+
+    def phi(t):
+        tried.append(t)
+        return 1.0 + t
+
+    assert _line_search(phi, lambda t: 1.0, 1.0, -1.0) == (0.0, 1.0, False)
+    assert tried == [2.0**-k for k in range(45)]
+
+
 def textbook_bfgs_update(h, s, y):
     """Dense inverse-Hessian BFGS update through full n x n outer products."""
     sy = float(s @ y)
@@ -346,9 +358,7 @@ def test_two_loop_recursion_matches_the_dense_bfgs_matrix():
 
 
 @pytest.mark.parametrize("rho_target", [1.3, 5.0])
-def test_no_a_block_is_decomposed_twice_within_the_memo_bound(
-    monkeypatch, rho_target
-):
+def test_no_a_block_is_decomposed_twice_in_one_solve(monkeypatch, rho_target):
     seen = {"spectral_radius": [], "spectral_radius_gradient": []}
 
     def recording(name):
@@ -367,12 +377,12 @@ def test_no_a_block_is_decomposed_twice_within_the_memo_bound(
     for name, keys in seen.items():
         assert keys, name
         for i, key in enumerate(keys):
-            assert key not in keys[max(0, i - _MEMO_SIZE) : i], (name, i)
+            assert key not in keys[:i], (name, i)
 
 
 def test_back_to_back_solves_match_solo_solves():
-    # both models have order 5, so a memo that outlived one solve or keyed
-    # on less than the block's bytes would feed one model the other's radii
+    # both models have order 5, so spectral data that outlived one solve
+    # would feed one model the other's radii
     problems = [noisy_unstable_fit(3), noisy_unstable_fit(4)]
     first = [stabilize(model, pairs) for model, pairs in problems]
     again = [stabilize(model, pairs) for model, pairs in reversed(problems)][::-1]
