@@ -26,9 +26,7 @@ from .snapshot import (
 )
 from .pod import PodBasis, pod_basis, pod_sweep
 from .identify import (
-    DegenerateDataError,
     StateSpaceModel,
-    fit_dmd,
     fit_iodmd,
     fit_reduced_iodmd,
     load_model_json,
@@ -43,12 +41,7 @@ from .plant import (
     simulate_discrete,
 )
 from .excite import (
-    CE_KINDS,
-    PE_KINDS,
     ExcitationSpec,
-    excite_ce,
-    excite_pe,
-    excite_target,
     generate_excitation,
     target_input,
 )

@@ -15,7 +15,7 @@ import pathlib
 import re
 import sys
 
-from .harness import EXCITATIONS, ExperimentConfig, run_experiment
+from .harness import EXCITATIONS, ExperimentConfig, emit_tables, run_experiment
 from .identify import fit_reduced_iodmd, load_model_json, save_model_json
 from .linalg import spectral_radius
 from .linalg import truncated_svd  # noqa: F401 - bench/tracing.py patches this name
@@ -151,9 +151,9 @@ def _cmd_run(args) -> int:
         regularization_eps=args.reg_eps,
         stabilize=args.stabilize,
         seed=args.seed,
-        output_dir=args.out,
     )
     rows = run_experiment(cfg)
+    emit_tables(rows, args.out)
     failed = 0
     for r in rows:
         flag = f"  [{r.note}]" if r.note else ""

@@ -1,4 +1,5 @@
-"""Training-data generation: persistent excitation and cross excitation.
+"""Training-data generation: persistent excitation, cross excitation and the
+benchmark bell, all through ``generate_excitation``.
 
 Persistent excitation drives the plant from rest with a rich input (white
 Gaussian noise or a constant step). Cross excitation composes the
@@ -20,18 +21,11 @@ from .snapshot import TrajectoryData
 
 __all__ = [
     "ExcitationSpec",
-    "PE_KINDS",
-    "CE_KINDS",
     "target_input",
-    "excite_pe",
-    "excite_ce",
-    "excite_target",
     "generate_excitation",
 ]
 
-PE_KINDS = ("pe_gaussian_noise", "pe_step")
-CE_KINDS = ("ce_gaussian_init", "ce_shifted_init")
-_ALL_KINDS = PE_KINDS + CE_KINDS + ("target_input",)
+_KINDS = ("pe_gaussian_noise", "pe_step", "ce_gaussian_init", "ce_shifted_init", "target_input")
 
 
 @dataclass
@@ -42,9 +36,12 @@ class ExcitationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _ALL_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
-        # numpy's generators take no negative seed
+        # numpy's generators take only nonnegative integers, and would say
+        # so only once the signal is drawn
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -55,68 +52,45 @@ def target_input(times) -> np.ndarray:
     return np.exp(-((t - 0.1) ** 2) / 1000.0)
 
 
-def excite_pe(plant: StateSpaceModel, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
-    """Simulate the plant from rest under noise or step input."""
-    if spec.kind not in PE_KINDS:
-        raise ValueError(f"excite_pe cannot generate kind {spec.kind!r}")
+def generate_excitation(
+    plant: StateSpaceModel, spec: ExcitationSpec, T: float, dt: float
+) -> TrajectoryData:
+    """Simulate the plant over [0, T] on step ``dt`` under the signal of ``spec.kind``.
+
+    ``pe_*`` and ``target_input`` drive the plant from rest with noise, a
+    step or the bell. ``ce_*`` is two-stage cross excitation of a square
+    plant: stage 1 runs the plant autonomously from a perturbed initial
+    state and records the output; stage 2 runs from rest with that output as
+    input, on the same grid. The returned trajectory carries stage-2 states
+    and outputs with the replayed signal as inputs.
+    """
+    if spec.kind.startswith("ce_"):
+        if plant.n_inputs != plant.n_outputs:
+            raise ValueError(
+                f"cross excitation needs a square plant, got {plant.n_inputs} inputs "
+                f"and {plant.n_outputs} outputs"
+            )
+        if spec.kind == "ce_gaussian_init":
+            rng = np.random.default_rng(spec.seed)
+            x0 = rng.standard_normal(plant.order)
+        else:
+            x0 = np.ones(plant.order)
+        # Stage two replays the recorded outputs with zero-order-hold timing, so
+        # sample u_k drives transition k -> k+1 and the stacked snapshot/input
+        # pairs satisfy the implicit-Euler stencil exactly.
+        cfg = SimConfig(dt=dt, horizon=T, input_timing="start")
+        # stage 2 replays only stage 1's outputs, so stage 1's state record, as
+        # large as stage 2's, is freed before stage 2 allocates its own
+        replayed = simulate_continuous(plant, None, x0, cfg).outputs
+        return simulate_continuous(plant, replayed, None, cfg)
     cfg = SimConfig(dt=dt, horizon=T)
     shape = (plant.n_inputs, cfg.n_steps + 1)
     if spec.kind == "pe_gaussian_noise":
         rng = np.random.default_rng(spec.seed)
         u = rng.standard_normal(shape)
-    else:
+    elif spec.kind == "pe_step":
         u = np.ones(shape)
-    return simulate_continuous(plant, u, None, cfg)
-
-
-def excite_ce(plant: StateSpaceModel, spec: ExcitationSpec, T: float, dt: float) -> TrajectoryData:
-    """Two-stage cross excitation of a square plant.
-
-    Stage 1 runs the plant autonomously from a perturbed initial state and
-    records the output; stage 2 runs from rest with that output as input,
-    on the same grid. The returned trajectory carries stage-2 states and
-    outputs with the replayed signal as inputs.
-    """
-    if spec.kind not in CE_KINDS:
-        raise ValueError(f"excite_ce cannot generate kind {spec.kind!r}")
-    if plant.n_inputs != plant.n_outputs:
-        raise ValueError(
-            f"cross excitation needs a square plant, got {plant.n_inputs} inputs "
-            f"and {plant.n_outputs} outputs"
-        )
-    if spec.kind == "ce_gaussian_init":
-        rng = np.random.default_rng(spec.seed)
-        x0 = rng.standard_normal(plant.order)
     else:
-        x0 = np.ones(plant.order)
-    # Stage two replays the recorded outputs with zero-order-hold timing, so
-    # sample u_k drives transition k -> k+1 and the stacked snapshot/input
-    # pairs satisfy the implicit-Euler stencil exactly.
-    cfg = SimConfig(dt=dt, horizon=T, input_timing="start")
-    # stage 2 replays only stage 1's outputs, so stage 1's state record, as
-    # large as stage 2's, is freed before stage 2 allocates its own
-    replayed = simulate_continuous(plant, None, x0, cfg).outputs
-    return simulate_continuous(plant, replayed, None, cfg)
-
-
-def excite_target(
-    plant: StateSpaceModel, spec: ExcitationSpec, T: float, dt: float
-) -> TrajectoryData:
-    """Simulate the plant from rest under the benchmark bell input."""
-    if spec.kind != "target_input":
-        raise ValueError(f"excite_target cannot generate kind {spec.kind!r}")
-    cfg = SimConfig(dt=dt, horizon=T)
-    times = np.arange(cfg.n_steps + 1) * dt
-    u = np.tile(target_input(times), (plant.n_inputs, 1))
+        times = np.arange(cfg.n_steps + 1) * dt
+        u = np.tile(target_input(times), (plant.n_inputs, 1))
     return simulate_continuous(plant, u, None, cfg)
-
-
-def generate_excitation(
-    plant: StateSpaceModel, spec: ExcitationSpec, T: float, dt: float
-) -> TrajectoryData:
-    """Dispatch on spec.kind."""
-    if spec.kind in PE_KINDS:
-        return excite_pe(plant, spec, T, dt)
-    if spec.kind in CE_KINDS:
-        return excite_ce(plant, spec, T, dt)
-    return excite_target(plant, spec, T, dt)

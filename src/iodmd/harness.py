@@ -6,7 +6,7 @@ for all budgets from one range-finder factorization and projects the
 snapshot pairs once onto the widest; per budget it fits a reduced ioDMD
 model on the leading rows, repairs an unstable fit on the same pairs if
 asked, and scores the model by replaying the bell input against the plant.
-Rows land in a list and, with an output directory, in plottable CSV tables.
+Rows land in a list, which ``emit_tables`` writes as plottable CSV tables.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class ExperimentConfig:
     regularization_eps: float = 0.0
     stabilize: bool = False
     seed: int = 42
-    output_dir: str | pathlib.Path | None = None
     transport_speed: ClassVar[float] = 1.3
     dx: ClassVar[float] = 1e-3
     dt: ClassVar[float] = 1e-3
@@ -189,8 +188,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
 
     Training data, the POD spectrum and the projected snapshot pairs are
     computed once per excitation and amortized evenly into the wall times of
-    that excitation's rows. Rows are always returned in config order; when
-    cfg.output_dir is set the CSV tables are written as well.
+    that excitation's rows. Rows are returned in config order.
     """
     plant = build_transport_plant(cfg.transport_speed, cfg.dx)
     eval_cfg = SimConfig(dt=cfg.dt, horizon=cfg.horizon, input_timing="start")
@@ -216,10 +214,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
             for budget, basis in zip(cfg.projection_budgets, bases)
         ]
 
-    rows = [row for tag in cfg.excitations for row in sweep_one(tag)]
-    if cfg.output_dir is not None:
-        emit_tables(rows, cfg.output_dir)
-    return rows
+    return [row for tag in cfg.excitations for row in sweep_one(tag)]
 
 
 def _fmt(value) -> str:

@@ -1,12 +1,13 @@
 """DMD-family least-squares fits of discrete-time state-space models.
 
-Two solves over snapshot pairs:
+One solve over snapshot pairs, in two forms:
 
-* plain DMD:    x1 ~ A x0, projected onto the retained left singular basis
 * ioDMD:        all four blocks [A B; C D] in a single pseudoinverse solve;
   without output rows it is DMD with control, [A B] = x1 pinv([x0; u0]),
   and without inputs either it is x1 pinv(x0)
-* reduced ioDMD: ioDMD on states already compressed through a POD basis
+* reduced ioDMD: ioDMD on states already compressed through a POD basis;
+  on autonomous pairs projected onto the POD basis of x0 it is projected
+  (plain) DMD
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .linalg import pinv_apply, truncated_svd
+from .linalg import pinv_apply
 from .linalg import _as_real_matrix, _positive_finite
 from .pod import PodBasis
 from .snapshot import SnapshotPairs
@@ -26,18 +27,12 @@ from .snapshot import project_pairs  # noqa: F401 - bench/tracing.py patches thi
 
 __all__ = [
     "StateSpaceModel",
-    "DegenerateDataError",
-    "fit_dmd",
     "fit_iodmd",
     "fit_reduced_iodmd",
     "to_continuous",
     "save_model_json",
     "load_model_json",
 ]
-
-
-class DegenerateDataError(ValueError):
-    """Raised when truncation leaves no usable singular values."""
 
 
 @dataclass
@@ -135,26 +130,6 @@ def _split_blocks(
     )
 
 
-def fit_dmd(pairs: SnapshotPairs, eps: float = 0.0) -> StateSpaceModel:
-    """Plain DMD: project x1 onto the retained left singular basis of x0.
-
-    The returned model has order equal to the number of singular values
-    ``truncated_svd(x0, eps)`` retains; the basis for lifting back to full
-    dimension is kept on the model.
-    """
-    if pairs.n_pairs == 0 or pairs.n_states == 0:
-        raise DegenerateDataError("empty snapshot pairs")
-    svd = truncated_svd(pairs.x0, eps)
-    if svd.rank == 0:
-        raise DegenerateDataError(
-            "all singular values fall below the truncation threshold or the "
-            "machine-precision rank floor"
-        )
-    u = svd.left_vectors
-    a = u.T @ pairs.x1 @ svd.right_vectors / svd.singular_values
-    return _split_blocks(a, svd.rank, pairs.step_width, basis=u)
-
-
 def fit_iodmd(pairs: SnapshotPairs, eps: float = 0.0) -> StateSpaceModel:
     """All four blocks from one solve: [A B; C D] = [x1; y0] @ pinv([x0; u0]).
 
@@ -191,15 +166,15 @@ def fit_reduced_iodmd(
     return model
 
 
-def to_continuous(model: StateSpaceModel, h: float) -> StateSpaceModel:
+def to_continuous(model: StateSpaceModel) -> StateSpaceModel:
     """First-order Euler conversion of a discrete model to continuous time.
 
-    Inverts x_{k+1} = x_k + h (A_c x_k + B_c u_k): A_c = (A - I)/h and
-    B_c = B/h, with C and D unchanged.
+    Inverts x_{k+1} = x_k + h (A_c x_k + B_c u_k) with h the model's own
+    ``step_width``: A_c = (A - I)/h and B_c = B/h, with C and D unchanged.
     """
     if model.time_domain != "discrete":
         raise ValueError("model is already continuous")
-    _positive_finite(h, "h")
+    h = model.step_width
     return StateSpaceModel(
         a=(model.a - np.eye(model.order)) / h,
         b=model.b / h,

@@ -4,6 +4,10 @@ import tracemalloc
 
 import pytest
 
+from iodmd.identify import fit_reduced_iodmd
+from iodmd.pod import pod_basis
+from iodmd.snapshot import project_pairs
+
 
 @pytest.fixture
 def traced_peak():
@@ -25,3 +29,16 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def projected_dmd():
+    """``projected_dmd(pairs, eps)``: plain DMD as the package computes it,
+    the reduced ioDMD fit of the pairs projected onto the full-rank POD
+    basis of ``pairs.x0``."""
+
+    def fit(pairs, eps=0.0):
+        basis = pod_basis(pairs.x0, 0.0, mode="absolute")
+        return fit_reduced_iodmd(project_pairs(pairs, basis.modes), basis, eps)
+
+    return fit

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from iodmd.harness import ExperimentConfig, run_experiment
+from iodmd.harness import ExperimentConfig, emit_tables, run_experiment
 from iodmd.identify import StateSpaceModel, fit_iodmd
 from iodmd.linalg import spectral_radius, spectral_radius_gradient
 from iodmd.pod import pod_basis
@@ -29,9 +29,10 @@ def report(number, ok, detail):
 def raw_sweep(tmp_path_factory):
     """Full benchmark sweep without regularization, unstable fits repaired."""
     out = tmp_path_factory.mktemp("sweep_raw")
-    cfg = ExperimentConfig(stabilize=True, output_dir=out)
+    cfg = ExperimentConfig(stabilize=True)
     t0 = time.perf_counter()
     rows = run_experiment(cfg)
+    emit_tables(rows, out)
     return {"rows": rows, "dir": out, "elapsed": time.perf_counter() - t0, "cfg": cfg}
 
 
@@ -39,8 +40,9 @@ def raw_sweep(tmp_path_factory):
 def regularized_sweep(tmp_path_factory):
     """The same sweep with the 1e-5 singular-value cutoff."""
     out = tmp_path_factory.mktemp("sweep_reg")
-    cfg = ExperimentConfig(regularization_eps=1e-5, stabilize=True, output_dir=out)
+    cfg = ExperimentConfig(regularization_eps=1e-5, stabilize=True)
     rows = run_experiment(cfg)
+    emit_tables(rows, out)
     return {"rows": rows, "dir": out}
 
 
@@ -223,8 +225,7 @@ def test_criterion_7_regularization_floors_the_accuracy(regularized_sweep):
 
 def test_criterion_8_sweeps_are_byte_deterministic(raw_sweep, tmp_path_factory):
     rerun_dir = tmp_path_factory.mktemp("sweep_rerun")
-    cfg = ExperimentConfig(stabilize=True, output_dir=rerun_dir)
-    run_experiment(cfg)
+    emit_tables(run_experiment(ExperimentConfig(stabilize=True)), rerun_dir)
     # rows.csv and runtimes.csv embed wall-clock measurements and are the
     # only outputs allowed to differ between runs
     same = {

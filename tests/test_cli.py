@@ -7,7 +7,7 @@ import pytest
 
 from iodmd import cli
 from iodmd.cli import main, parse_budgets
-from iodmd.excite import ExcitationSpec, excite_pe
+from iodmd.excite import ExcitationSpec, generate_excitation
 from iodmd.identify import StateSpaceModel, load_model_json, save_model_json
 from iodmd.linalg import spectral_radius
 from iodmd.plant import build_transport_plant
@@ -80,7 +80,7 @@ def test_run_failing_cell_exit_code(tmp_path, capsys):
 
 def write_noise_trajectory(path):
     plant = build_transport_plant(1.3, 1e-2)
-    traj = excite_pe(plant, ExcitationSpec(kind="pe_gaussian_noise", seed=7), 1.0, 1e-2)
+    traj = generate_excitation(plant, ExcitationSpec(kind="pe_gaussian_noise", seed=7), 1.0, 1e-2)
     save_trajectory_csv(traj, path)
 
 

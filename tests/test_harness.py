@@ -344,13 +344,13 @@ def test_emit_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_writes_tables_when_output_dir_set(tmp_path):
-    cfg = ExperimentConfig(
-        excitations=("target",), projection_budgets=(1e-1,), output_dir=tmp_path
-    )
-    run_experiment(cfg)
-    assert (tmp_path / "errors.csv").exists()
-    assert (tmp_path / "rows.csv").exists()
+def test_emit_tables_writes_the_rows_of_a_run(tmp_path):
+    rows = run_experiment(ExperimentConfig(excitations=("target",), projection_budgets=(1e-1,)))
+    paths = emit_tables(rows, tmp_path / "tables")
+    assert sorted(paths) == ["errors.csv", "orders.csv", "rows.csv", "runtimes.csv", "stabilization.csv"]
+    assert all(path.exists() for path in paths.values())
+    header, line = (tmp_path / "tables" / "orders.csv").read_text().splitlines()
+    assert (header, line) == ("budget,target", f"0.1,{rows[0].reduced_order}")
 
 
 def test_ce_shifted_orders_grow_with_tighter_budgets():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from iodmd.identify import fit_dmd
 from iodmd.linalg import (
     _as_real_matrix,
     machine_rank,
@@ -220,13 +219,13 @@ def test_spectral_radius_gradient_zero_matrix_raises():
         spectral_radius_gradient(np.zeros((3, 3)))
 
 
-def test_tolerances_validation():
+def test_tolerances_validation(projected_dmd):
     # the cutoff is a plain argument, checked where truncated_svd uses it
     m, rhs = random_matrix(2, (4, 9)), random_matrix(3, (3, 9))
     with pytest.raises(ValueError, match="eps must be >= 0"):
         pinv_apply(m, -1e-3, rhs)
     with pytest.raises(ValueError, match="eps must be >= 0"):
-        fit_dmd(SnapshotPairs(x0=m, x1=m), -1e-3)
+        projected_dmd(SnapshotPairs(x0=m, x1=m), -1e-3)
     assert pinv_apply(m, 0.0, rhs)[1] == 4
 
 
@@ -239,7 +238,7 @@ def test_nan_cutoff_is_rejected():
         truncated_svd(np.eye(2), eps=float("nan"))
 
 
-def test_the_machine_rank_floor_cuts_inside_truncated_svd():
+def test_the_machine_rank_floor_cuts_inside_truncated_svd(projected_dmd):
     # a 6x8 product of rank 3: three singular values are rounding noise
     rng = np.random.default_rng(5)
     m = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 8))
@@ -248,7 +247,7 @@ def test_the_machine_rank_floor_cuts_inside_truncated_svd():
     assert svd.left_vectors.shape == (6, 3) and svd.right_vectors.shape == (8, 3)
     # the solves take the rank as truncated_svd returns it
     assert pinv_apply(m, 0.0, rng.standard_normal((2, 8)))[1] == svd.rank
-    assert fit_dmd(SnapshotPairs(x0=m, x1=m), 0.0).order == svd.rank
+    assert projected_dmd(SnapshotPairs(x0=m, x1=m), 0.0).order == svd.rank
 
 
 @given(st.integers(0, 10_000))
