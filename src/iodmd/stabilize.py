@@ -1,40 +1,37 @@
 """Post-hoc stabilization of identified discrete-time models.
 
-Unstable fits are repaired by minimizing an exact penalty function
+An unstable fit is repaired by one convex solve.  Gillis, Karow & Sharma
+(Approximating the nearest stable discrete-time system, 2019) write a
+stable A as S^-1 U B S with ||B||_2 <= 1; fixing the scaling S from the
+data makes the set of such A convex.  Here S = diag(1/s), where s holds the
+row norms of the pairs' x0 (the POD singular values on POD pairs; a zero
+row norm takes 1), and the repair minimizes
 
-    phi(Z) = f(Z) + mu * max(0, rho(A(Z)) - (1 - tau))
+    J(A) = m(A) / m(A0) + gamma * ||A - A0||_F^2 / ||A0||_F^2,  gamma = 100,
 
-over the stacked system matrix Z = [A B; C D] with limited-memory BFGS,
-which keeps the 30 most recent secant pairs.  The smooth part f(Z) =
-||Z [x0; u0] - [x1; y0]||^2 keeps the repaired model close to the snapshot
-pairs it is given.  Pairs built from the unstable model itself, x0 = [I 0],
-u0 = [0 I], x1 = [A B] and y0 = [C D], make f the distance ||Z - Z0||^2 to
-that model: the closest-stable-model problem.  The spectral radius is
-nonsmooth, so the line search only requires weak Wolfe conditions and
-secant pairs violating the curvature guard are dropped.
+subject to ||S A S^-1||_2 <= c = (1 - tau)(1 - 1e-7).  m(A) is the state
+part of the data misfit ||Z [x0; u0] - [x1; y0]||^2 of Z = [A B; C D], with
+B re-solved in closed form, B = (x1 - A x0) pinv(u0); C and D stay as
+fitted.  Since rho(A) <= ||S A S^-1||_2 for every invertible S, the bound
+certifies rho(A) <= c, and P = S^2 is a Lyapunov matrix: A^T P A <= c^2 P.
+When the pairs fit the model exactly, m(A0) = 0 and the misfit term is
+dropped; identity pairs, x0 = [I 0], u0 = [0 I], x1 = [A B] and
+y0 = [C D], also give S = I, so the repair is the SVD clip of A0 at c: the
+closest stable model.
 
-Each decision has one path.  A step whose line search finds no decrease
-(a direction that does not descend counts as one) is retried at an
-infeasible iterate along a clip of the outer real Schur blocks onto a
-radius inside the disk; when that fails too, or five steps in a row stall,
-mu grows tenfold while the iterate is infeasible and mu is below its cap,
-and otherwise the solve stops.  Each remaining escape fires on the
-benchmark and has a test that fails without it: the shift that gives a
-defective dominant eigenvalue a nearby gradient, the Schur clip, the line
-search's strict decrease, and the polish's boundary snap and segment
-pullback.
-
-The line search tries each step once: where no step meets the Armijo
-condition, it takes the first strict decrease among the halving steps 1,
-1/2, ..., 2^-44.  Each trial point carries its own spectral radius and
-radius gradient, and the solve passes points rather than arrays, so the A
-block of a point is decomposed once however often the solve reads it.
+The solve is over-relaxed ADMM with residual balancing (Boyd et al.,
+Distributed Optimization and Statistical Learning via the Alternating
+Direction Method of Multipliers, 2011) on the whitened A~ = S A S^-1, run
+for a fixed number of steps.  Each step solves one linear system per row of
+A~, clips the singular values of the consensus iterate Y at c and updates
+the scaled dual.  Every Y meets the bound, so A = S^-1 Y S is certified at
+any step count, and a fixed count makes the result a smooth function of the
+input: rounding-level changes of the fit move the repair by as little.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-import functools
 import json
 import pathlib
 
@@ -42,7 +39,9 @@ import numpy as np
 import scipy.linalg
 
 from .identify import StateSpaceModel, _split_blocks, _stacked_data
-from .linalg import spectral_radius, spectral_radius_gradient
+from .linalg import spectral_radius, truncated_svd
+# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 1 removes it)
+from .linalg import spectral_radius_gradient  # noqa: F401
 from .snapshot import SnapshotPairs
 
 __all__ = [
@@ -52,33 +51,28 @@ __all__ = [
     "save_report_json",
 ]
 
-# rho must clear the boundary by this margin before an iterate counts as
-# feasible; guards against returning a model that is stable only in exact
-# arithmetic.
-_FEASIBILITY_MARGIN = 1e-12
+# ADMM steps of every repair; there is no residual stop
+_ITERATIONS = 500
 
-# give up escalating the penalty weight beyond this
-_PENALTY_CAP = 1e16
+# gamma: weight of the relative distance to the fit against the misfit ratio
+_DISTANCE_WEIGHT = 100.0
 
-# the solve stops at the first feasible iterate whose objective is within
-# this factor of the unrepaired model's
-_OBJECTIVE_BUDGET_FACTOR = 1000.0
+# the bound c sits this far (relative) inside the boundary 1 - tau
+_CERTIFICATE_MARGIN = 1e-7
 
-# a step that lowers the penalty by less than this relative amount stalls
-_OPT_TOL = 1e-8
+# the solve clips the whitened A this far (relative) inside c: forming
+# A = S^-1 Y S and the SVD of S A S^-1 each round ||S A S^-1||_2 by some
+# ulps times the order, which must not lift it above c
+_ROUNDING_ROOM = 1e-13
 
-# iterations before the solve stops and returns its best candidate
-_MAX_ITERATIONS = 2000
+# ADMM penalty at the start and over-relaxation factor
+_INITIAL_PENALTY = 10.0
+_RELAXATION = 1.7
 
-# penalty weight mu at the start of the solve
-_INITIAL_PENALTY = 1.0
-
-# secant pairs kept by the limited-memory BFGS inverse Hessian
-_MEMORY = 30
-
-# step trials of the weak Wolfe expansion and bisection; a search that finds
-# no Armijo step among them halves on to 2^-44 for a strict decrease
-_MAX_BISECTIONS = 25
+# every _BALANCE_EVERY steps the penalty doubles (halves) when the primal
+# (dual) residual exceeds the other by more than _BALANCE_RATIO
+_BALANCE_EVERY = 20
+_BALANCE_RATIO = 10.0
 
 
 def check_tau(tau: float) -> float:
@@ -92,21 +86,27 @@ def check_tau(tau: float) -> float:
 
 @dataclass
 class StabilizeReport:
-    """Outcome summary of one stabilization solve."""
+    """Outcome summary of one stabilization solve.
+
+    ``certificate`` is ||S A S^-1||_2 of the returned A, at most
+    (1 - tau)(1 - 1e-7) after a repair; the residuals are those of the last
+    ADMM step, in the whitened coordinates, and 0 when no repair ran.
+    """
 
     iterations_total: int
-    iterations_to_first_stable: int
     final_objective_ratio: float
     final_spectral_radius: float
     relative_model_change: float
-    converged: bool
+    certificate: float
+    primal_residual: float
+    dual_residual: float
 
 
 class NotStabilizedError(RuntimeError):
-    """No iterate reached spectral radius below 1 - tau.
+    """The repaired model's spectral radius is not below 1 - tau.
 
-    Carries the best iterate seen (lowest spectral radius) and its report so
-    callers can inspect how close the solve came.
+    Carries the repaired model and its report so callers can inspect how
+    close the solve came.
     """
 
     def __init__(self, message: str, model: StateSpaceModel, report: StabilizeReport):
@@ -131,47 +131,7 @@ def _check_inputs(model: StateSpaceModel, pairs: SnapshotPairs) -> None:
         raise ValueError("snapshot pairs contain non-finite entries")
 
 
-class _Objective:
-    """Smooth part f(Z) = ||Z data - target||^2 of the penalty with its gradient.
-
-    data = [x0; u0] and target = [x1; y0] come from the snapshot pairs,
-    whose input and output rows _check_inputs matched to the model.
-    """
-
-    def __init__(self, pairs: SnapshotPairs):
-        self.data, self.target = _stacked_data(pairs)
-
-    def value(self, z: np.ndarray) -> float:
-        resid = z @ self.data - self.target
-        return float(np.sum(resid * resid))
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        return 2.0 * (z @ self.data - self.target) @ self.data.T
-
-    def along(self, z: np.ndarray, direction: np.ndarray) -> tuple[float, float, float]:
-        """Coefficients (c0, c1, c2) of the quadratic t -> f(z + t*direction)."""
-        r0 = z @ self.data - self.target
-        rd = direction @ self.data
-        c0 = float(np.sum(r0 * r0))
-        c1 = 2.0 * float(np.sum(r0 * rd))
-        c2 = float(np.sum(rd * rd))
-        return c0, c1, c2
-
-
-def _radius_gradient(a: np.ndarray) -> np.ndarray:
-    """Gradient of the spectral radius at a, or next to it where it is defective."""
-    try:
-        return spectral_radius_gradient(a).matrix
-    except np.linalg.LinAlgError:
-        # Defective dominant eigenvalue: the gradient does not exist there.
-        # Break the degeneracy with a deterministic graded diagonal shift and
-        # use the nearby gradient as a subgradient-like direction.
-        scale = 1e-10 * max(1.0, float(np.linalg.norm(a, ord="fro")))
-        shift = np.diag(np.linspace(scale, 2.0 * scale, a.shape[0]))
-        return spectral_radius_gradient(a + shift).matrix
-
-
-# no caller in the package; bench/tracing.py still times this name
+# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 1 removes it)
 def _tied_modulus_gradients(
     a: np.ndarray, rho: float, window: float
 ) -> list[np.ndarray] | None:
@@ -199,6 +159,7 @@ def _tied_modulus_gradients(
     return grads or None
 
 
+# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 1 removes it)
 def _modulus_clip_shift(a: np.ndarray, target: float) -> np.ndarray | None:
     """Shift of A that contracts every eigenvalue modulus above target onto it.
 
@@ -227,100 +188,58 @@ def _modulus_clip_shift(a: np.ndarray, target: float) -> np.ndarray | None:
     return q @ t_new @ q.T - a
 
 
-class _InverseHessian:
-    """Limited-memory BFGS inverse Hessian over the _MEMORY newest secant pairs."""
-
-    def __init__(self) -> None:
-        self.pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-        self.scale = 1.0
-
-    def update(self, s: np.ndarray, y: np.ndarray) -> bool:
-        sy = float(s @ y)
-        if sy <= 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            return False
-        self.pairs.append((s, y, sy))
-        if len(self.pairs) > _MEMORY:
-            self.pairs.pop(0)
-        self.scale = sy / float(y @ y)
-        return True
-
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        # standard two-loop recursion over the retained secant pairs
-        q = g.copy()
-        alphas = []
-        for s, y, sy in reversed(self.pairs):
-            alpha = float(s @ q) / sy
-            alphas.append(alpha)
-            q -= alpha * y
-        q *= self.scale
-        for (s, y, sy), alpha in zip(self.pairs, reversed(alphas)):
-            beta = float(y @ q) / sy
-            q += (alpha - beta) * s
-        return q
+def _clip(m: np.ndarray, bound: float) -> np.ndarray:
+    """The matrix nearest ``m`` with spectral norm at most ``bound``."""
+    u, sv, vt = np.linalg.svd(m)
+    return (u * np.minimum(sv, bound)) @ vt
 
 
-def _line_search(phi, slope_at, phi0, slope0):
-    """Weak Wolfe search (Armijo + weak curvature) by expansion/bisection.
+def _admm(
+    a0: np.ndarray, m: np.ndarray, t: np.ndarray, s: np.ndarray, bound: float
+) -> tuple[np.ndarray, float, float]:
+    """The repair A = S^-1 Y S with ||Y||_2 <= bound, and the last step's
+    primal and dual residuals.
 
-    Returns (t, phi_t, ok) and tries each step once.  Nonsmooth kinks can
-    defeat both Wolfe conditions; the search then takes the first strict
-    decrease among the halving steps 1, 1/2, ..., 2^-44.  ok=False means no
-    decrease was found at any tried step.
+    Minimizes sum_i alpha_i ||(A~ M - T)_i||^2 + beta sum_ij D_ij (A~ - A~0)_ij^2
+    over A~ = S A S^-1, where A~0 = S a0 S^-1, M and T are S x0 and S x1
+    with the input rows projected out, alpha_i = s_i^2 / m(a0),
+    beta = gamma / ||a0||_F^2 and D_ij = (s_i / s_j)^2, which turns the
+    whitened distance back into ||A - a0||_F^2.
     """
-    c1, c2 = 1e-4, 0.5
-    lo, hi = 0.0, np.inf
-    t = 1.0
-    armijo_t, armijo_phi = None, None
-    decrease = None  # the first step with phi below phi0
-    for _ in range(_MAX_BISECTIONS):
-        phi_t = phi(t)
-        if decrease is None and np.isfinite(phi_t) and phi_t < phi0:
-            decrease = t, phi_t
-        if not np.isfinite(phi_t) or phi_t > phi0 + c1 * t * slope0:
-            hi = t
+    r = a0.shape[0]
+    whiten = s[None, :] / s[:, None]
+    d = whiten**-2.0
+    y0 = a0 * whiten
+    f0 = float(np.sum(s**2 * np.sum((y0 @ m - t) ** 2, axis=1)))
+    alpha = s**2 / f0 if f0 > 0.0 else np.zeros(r)
+    beta = _DISTANCE_WEIGHT / float(np.sum(a0 * a0))
+    # row i of A~ solves a~_i (hess_i + penalty I) = fixed_i + penalty (Y - U)_i
+    hess = 2.0 * alpha[:, None, None] * (m @ m.T)
+    hess[:, np.arange(r), np.arange(r)] += 2.0 * beta * d
+    fixed = 2.0 * alpha[:, None] * (t @ m.T) + 2.0 * beta * d * y0
+    eye = np.eye(r)
+
+    penalty = _INITIAL_PENALTY
+    inv = np.linalg.inv(hess + penalty * eye)
+    y, dual = y0, np.zeros_like(y0)
+    for step in range(1, _ITERATIONS + 1):
+        rhs = fixed + penalty * (y - dual)
+        x = (rhs[:, None, :] @ inv)[:, 0, :]
+        relaxed = _RELAXATION * x + (1.0 - _RELAXATION) * y
+        y_prev, y = y, _clip(relaxed + dual, bound)
+        dual += relaxed - y
+        primal_res = float(np.linalg.norm(x - y))
+        dual_res = penalty * float(np.linalg.norm(y - y_prev))
+        if step % _BALANCE_EVERY or step == _ITERATIONS:
+            continue
+        if primal_res > _BALANCE_RATIO * dual_res:
+            penalty, dual = 2.0 * penalty, 0.5 * dual
+        elif dual_res > _BALANCE_RATIO * primal_res:
+            penalty, dual = 0.5 * penalty, 2.0 * dual
         else:
-            if armijo_t is None or phi_t < armijo_phi:
-                armijo_t, armijo_phi = t, phi_t
-            if slope_at(t) < c2 * slope0:
-                lo = t
-            else:
-                return t, phi_t, True
-        t = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
-        if t <= 0.0 or (hi < np.inf and (hi - lo) <= 1e-16 * max(1.0, lo)):
-            break
-    if armijo_t is not None:
-        return armijo_t, armijo_phi, True
-    # Sufficient decrease can be unattainable near an eigenvalue-modulus tie
-    # even though the penalty still drops slightly; take any strict decrease.
-    # With no Armijo step lo stayed 0, so the loop tried the halving steps
-    # 1, ..., 2^-24 in order and t is the next one.
-    if decrease is not None:
-        return (*decrease, True)
-    while t >= 2.0**-44:
-        phi_t = phi(t)
-        if np.isfinite(phi_t) and phi_t < phi0:
-            return t, phi_t, True
-        t *= 0.5
-    return 0.0, phi0, False
-
-
-class _Point:
-    """A trial point Z of the solve with the spectral data of its A block.
-
-    rho and its violation beyond the boundary are computed on construction,
-    the radius gradient the first time it is read; readers do not modify
-    either array.
-    """
-
-    def __init__(self, z: np.ndarray, order: int, boundary: float):
-        self.z = z
-        self.a = z[:order, :order]
-        self.rho = spectral_radius(self.a)
-        self.violation = max(0.0, self.rho - boundary)
-
-    @functools.cached_property
-    def gradient(self) -> np.ndarray:
-        return _radius_gradient(self.a)
+            continue
+        inv = np.linalg.inv(hess + penalty * eye)
+    return y / whiten, primal_res, dual_res
 
 
 def stabilize(
@@ -328,215 +247,69 @@ def stabilize(
     pairs: SnapshotPairs,
     tau: float = 0.0,
 ) -> tuple[StateSpaceModel, StabilizeReport]:
-    """Shift the spectral radius of a discrete model below 1 - tau.
+    """Repair a discrete model whose spectral radius is not below 1 - tau.
 
-    The repair stays close to ``pairs`` in the least-squares sense; the
-    identity pairs of the module docstring keep it close to the model
-    itself.  Returns the repaired model and a report.  The returned model
-    always satisfies rho(A) < 1 - tau; if no acceptable iterate is ever
-    found, NotStabilizedError is raised with the closest attempt attached.
+    The repair stays close to ``pairs`` in the least-squares sense and to
+    the model itself; with the identity pairs of the module docstring it is
+    the closest A with ||A||_2 <= c.  Returns the repaired
+    model and a report; a model already inside the disk comes back
+    unchanged.  A repaired model whose spectral radius is not below
+    1 - tau raises NotStabilizedError with the model attached.
     """
     tau = check_tau(tau)
     _check_inputs(model, pairs)
 
-    z0 = model.blocks()
     boundary = 1.0 - tau
-    objective = _Objective(pairs)
-    f0 = objective.value(z0)
-    budget = _OBJECTIVE_BUDGET_FACTOR * f0
-    start = _Point(z0, model.order, boundary)
-    if start.rho < boundary - _FEASIBILITY_MARGIN:
-        end, stable, iterations, first_stable = start, True, 0, 0
+    n = model.order
+    z0 = model.blocks()
+    s = np.linalg.norm(pairs.x0, axis=1)
+    s[s == 0.0] = 1.0
+    rho = spectral_radius(model.a)
+    if rho < boundary:
+        z, iterations, primal_res, dual_res = z0, 0, 0.0, 0.0
     else:
-        end, stable, iterations, first_stable = _penalty_solve(
-            start, objective, boundary, budget
-        )
+        # x P with P the projector onto the complement of u0's row space,
+        # and B = (x1 - A x0) pinv(u0), from one SVD of u0
+        u0 = truncated_svd(pairs.u0, 0.0)
+        v = u0.right_vectors
 
-    z = end.z
-    f = objective.value(z)
+        def drop_inputs(x: np.ndarray) -> np.ndarray:
+            return x - (x @ v) @ v.T
+
+        m = drop_inputs(pairs.x0 / s[:, None])
+        t = drop_inputs(pairs.x1 / s[:, None])
+        bound = boundary * (1.0 - _CERTIFICATE_MARGIN) * (1.0 - _ROUNDING_ROOM)
+        a, primal_res, dual_res = _admm(model.a, m, t, s, bound)
+        resid = pairs.x1 - a @ pairs.x0
+        z = z0.copy()
+        z[:n, :n] = a
+        z[:n, n:] = (resid @ v) / u0.singular_values @ u0.left_vectors.T
+        iterations = _ITERATIONS
+        rho = spectral_radius(a)
+
+    data, target = _stacked_data(pairs)
+    f0 = float(np.sum((z0 @ data - target) ** 2))
+    f = float(np.sum((z @ data - target) ** 2))
     change = float(np.linalg.norm(z - z0))
     z0_norm = float(np.linalg.norm(z0))
     report = StabilizeReport(
         iterations_total=iterations,
-        iterations_to_first_stable=first_stable,
         final_objective_ratio=f / f0 if f0 > 0.0 else (1.0 if f == 0.0 else np.inf),
-        final_spectral_radius=end.rho,
+        final_spectral_radius=rho,
         relative_model_change=change / z0_norm if z0_norm > 0.0 else change,
-        converged=stable and f <= budget,
+        certificate=float(np.linalg.norm(z[:n, :n] / s[:, None] * s[None, :], 2)),
+        primal_residual=primal_res,
+        dual_residual=dual_res,
     )
-    repaired = _split_blocks(z, model.order, model.step_width, model.basis)
-    if not stable:
+    repaired = _split_blocks(z, n, model.step_width, model.basis)
+    if not rho < boundary:
         raise NotStabilizedError(
-            f"no iterate reached spectral radius below {boundary} "
-            f"(best {end.rho:.6g} after {iterations} iterations)",
+            f"repaired spectral radius {rho:.6g} is not below {boundary} "
+            f"after {iterations} iterations",
             repaired,
             report,
         )
     return repaired, report
-
-
-def _penalty_solve(
-    start: _Point,
-    objective: _Objective,
-    boundary: float,
-    budget: float,
-) -> tuple[_Point, bool, int, int]:
-    """Minimize the penalty from the unstable operator at start, then polish.
-
-    Returns (point, stable, iterations, first_stable): the feasible point of
-    least objective, else the iterate of least spectral radius, and the
-    iteration that first reached a feasible point (-1 if none did).
-    """
-    z0 = start.z
-    order = start.a.shape[0]
-    mu = _INITIAL_PENALTY
-
-    def point(z: np.ndarray) -> _Point:
-        return _Point(z, order, boundary)
-
-    def grad_phi(pt: _Point) -> np.ndarray:
-        g = objective.gradient(pt.z)
-        if pt.violation > 0.0:
-            grad = np.zeros_like(pt.z)
-            grad[:order, :order] = pt.gradient
-            g = g + mu * grad
-        return g
-
-    cur = start
-    f_cur = objective.value(cur.z)
-    phi_cur = f_cur + mu * cur.violation
-    g = grad_phi(cur)
-    hessian = _InverseHessian()
-
-    best_feasible: _Point | None = None
-    best_feasible_f = np.inf
-    best_rho = cur
-    first_stable = -1
-    stall_count = 0
-
-    def try_direction(p: np.ndarray, slope: float):
-        """(t, point at step t, phi there, ok) of a line search along p."""
-        c0, c1, c2 = objective.along(cur.z, p)
-        p_a = p[:order, :order]
-        trials = {}
-
-        def phi_at(t: float) -> float:
-            zt = cur.z + t * p
-            # a step too small to move Z lands on the current point itself
-            same = np.array_equal(zt.view(np.uint64), cur.z.view(np.uint64))
-            trials[t] = pt = cur if same else point(zt)
-            return c0 + t * (c1 + t * c2) + mu * pt.violation
-
-        def slope_at(t: float) -> float:
-            # d f/dt from the cached quadratic; the penalty term needs only
-            # the spectral radius gradient, not the full data gradient
-            pt = trials[t]
-            value = c1 + 2.0 * c2 * t
-            if pt.violation > 0.0:
-                value += mu * float(np.sum(pt.gradient * p_a))
-            return value
-
-        t, phi_t, ok = _line_search(phi_at, slope_at, phi_cur, slope)
-        return t, trials.get(t), phi_t, ok
-
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        p = -hessian.apply(g.ravel()).reshape(cur.z.shape)
-        slope = float(g.ravel() @ p.ravel())
-        ok = -np.inf < slope < 0.0  # a non-descent direction fails the search
-        if ok:
-            t, new, phi_new, ok = try_direction(p, slope)
-        if not ok and cur.violation > 0.0:
-            # Last resort direction: contract the outer eigenvalue moduli
-            # through the real Schur blocks.  Unit step lands rho on the 0.99
-            # target up to rounding, which the margin absorbs, so along it the
-            # violation falls to zero and sufficiently large mu accepts it.
-            shift = _modulus_clip_shift(cur.a, 0.99 * boundary)
-            if shift is not None:
-                p = np.zeros_like(cur.z)
-                p[:order, :order] = shift
-                t, new, phi_new, ok = try_direction(p, -1e-12 * max(1.0, abs(phi_cur)))
-
-        if ok:
-            g_new = grad_phi(new)
-            hessian.update(t * p.ravel(), (g_new - g).ravel())
-
-            decrease = phi_cur - phi_new
-            cur, g = new, g_new
-            f_cur = objective.value(cur.z)
-            phi_cur = f_cur + mu * cur.violation
-
-            if cur.rho < best_rho.rho:
-                best_rho = cur
-            if cur.rho <= boundary - _FEASIBILITY_MARGIN:
-                if first_stable < 0:
-                    first_stable = iterations
-                if f_cur < best_feasible_f:
-                    best_feasible_f = f_cur
-                    best_feasible = cur
-                if f_cur <= budget:
-                    break
-
-            if decrease <= _OPT_TOL * max(1.0, abs(phi_cur)):
-                stall_count += 1
-            else:
-                stall_count = 0
-            if stall_count < 5:
-                continue
-        # no decrease in any tried direction, or five stalled steps: the
-        # iterate is stationary for this mu, which is too small if infeasible
-        if not (cur.violation > 0.0 and mu < _PENALTY_CAP):
-            break
-        mu *= 10.0
-        stall_count = 0
-        phi_cur = f_cur + mu * cur.violation
-        g = grad_phi(cur)
-
-    # Final polish.  Boundary snap: iterates often terminate on or just
-    # outside the stability boundary (the penalty kink); scaling the A block
-    # contracts every eigenvalue by the same factor, turning such an iterate
-    # into a strictly feasible candidate.  Segment pullback: f is a convex
-    # quadratic along the ray back to z0 with its minimum at or before z0,
-    # so blending a feasible candidate toward z0 as far as stability allows
-    # reduces both the objective and the model change.
-    rho_target = boundary * (1.0 - 1e-7)
-
-    def pull_toward_start(s: _Point) -> _Point:
-        shift = s.z - z0
-        best = s
-        lo_eta, hi_eta = 0.0, 1.0
-        for _ in range(50):
-            eta = 0.5 * (lo_eta + hi_eta)
-            cand = point(z0 + eta * shift)
-            if cand.rho <= rho_target:
-                hi_eta = eta
-                best = cand
-            else:
-                lo_eta = eta
-        return best
-
-    candidates = [] if best_feasible is None else [best_feasible]
-    # best_rho is often cur itself: snap and pull such a point once
-    for cand in dict.fromkeys((best_rho, cur)):
-        if cand.rho <= 0.0:
-            continue
-        z = cand.z.copy()
-        z[:order, :order] *= rho_target / cand.rho
-        snapped = point(z)
-        if snapped.rho > boundary - _FEASIBILITY_MARGIN:
-            continue
-        candidates.append(snapped)
-    if candidates and first_stable < 0:
-        first_stable = iterations
-    for cand in candidates:
-        pulled = pull_toward_start(cand)
-        f_p = objective.value(pulled.z)
-        if f_p < best_feasible_f:
-            best_feasible_f = f_p
-            best_feasible = pulled
-
-    if best_feasible is None:
-        return best_rho, False, iterations, first_stable
-    return best_feasible, True, iterations, first_stable
 
 
 def save_report_json(report: StabilizeReport, path: str | pathlib.Path) -> None:

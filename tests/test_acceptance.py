@@ -3,8 +3,10 @@
 Eight binding criteria, one test each, covering exact recovery, the POD
 tail bound, the spectral-radius gradient, benchmark error trends, cross
 excitation stability, stabilizer efficacy, the regularization floor, and
-byte-level determinism of the emitted tables. Every test prints a single
-PASS/FAIL line so a -s run doubles as a checklist.
+byte-level determinism of the emitted tables. Every criterion prints a
+single PASS/FAIL line so a -s run doubles as a checklist. One more test
+reads the same sweeps: the repaired noise fits must still reproduce the
+bell response.
 """
 
 import time
@@ -206,6 +208,20 @@ def test_criterion_6_every_unstable_model_is_stabilized(raw_sweep, regularized_s
         f"{worst_change:.4%} (bound 5%), iterations {min(iters)}..{max(iters)} "
         f"(reported only), total {total_wall:.1f}s (bound 600s){not_repaired}",
     )
+
+
+def test_repaired_noise_fits_track_the_bell(raw_sweep, regularized_sweep):
+    # a repair that is stable but scores far above 1 has made the model
+    # useless; the unrepaired noise fits are unstable at every budget
+    errors = {
+        (name, r.budget): r.rel_output_error
+        for name, sweep in (("raw", raw_sweep), ("eps 1e-5", regularized_sweep))
+        for r in by_tag(sweep["rows"], "pe_noise")
+        if r.stabilized
+    }
+    worst = max(errors, key=errors.get)
+    assert len(errors) == 16
+    assert errors[worst] <= 2.0, f"bell error {errors[worst]:.3g} at {worst}"
 
 
 def test_criterion_7_regularization_floors_the_accuracy(regularized_sweep):

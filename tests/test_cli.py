@@ -204,11 +204,12 @@ def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
         taus.append(tau)
         report = StabilizeReport(
             iterations_total=1,
-            iterations_to_first_stable=1,
             final_objective_ratio=1.0,
             final_spectral_radius=0.5,
             relative_model_change=0.0,
-            converged=True,
+            certificate=0.5,
+            primal_residual=0.0,
+            dual_residual=0.0,
         )
         return model, report
 
@@ -236,11 +237,12 @@ def test_a_failed_repair_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsy
     def fail(model, pairs, tau):
         report = StabilizeReport(
             iterations_total=9,
-            iterations_to_first_stable=-1,
             final_objective_ratio=2.0,
             final_spectral_radius=1.2,
             relative_model_change=0.1,
-            converged=False,
+            certificate=0.99,
+            primal_residual=1e-3,
+            dual_residual=1e-3,
         )
         raise NotStabilizedError("no iterate reached spectral radius below 1.0", model, report)
 

@@ -134,11 +134,12 @@ def test_an_excitation_error_tags_every_budget_of_that_excitation(monkeypatch):
 def test_a_failed_repair_keeps_the_unstable_fit_and_its_report(monkeypatch):
     report = StabilizeReport(
         iterations_total=17,
-        iterations_to_first_stable=-1,
         final_objective_ratio=3.5,
         final_spectral_radius=1.01,
         relative_model_change=0.02,
-        converged=False,
+        certificate=0.99,
+        primal_residual=1e-3,
+        dual_residual=1e-3,
     )
 
     def fail(model, pairs, tau):

@@ -1,5 +1,6 @@
-"""Exact-penalty stabilization: analytic scalar cases, report contracts."""
+"""Certified stabilization: analytic scalar cases, the certificate, report contracts."""
 
+from dataclasses import replace
 import importlib
 import json
 
@@ -8,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iodmd.identify import StateSpaceModel, fit_iodmd
+from iodmd.excite import ExcitationSpec, generate_excitation
+from iodmd.identify import StateSpaceModel, fit_iodmd, fit_reduced_iodmd
 from iodmd.linalg import spectral_radius
-from iodmd.snapshot import SnapshotPairs
+from iodmd.plant import build_transport_plant
+from iodmd.pod import pod_sweep
+from iodmd.snapshot import SnapshotPairs, make_pairs, project_pairs
 from iodmd.stabilize import (
-    _MEMORY,
     NotStabilizedError,
     StabilizeReport,
-    _InverseHessian,
-    _line_search,
     _modulus_clip_shift,
     check_tau,
     save_report_json,
@@ -82,10 +83,9 @@ def test_already_stable_model_is_returned_unchanged():
     out, report = stabilize(model, autonomous_pairs(0.5))
     assert np.array_equal(out.a, model.a)
     assert report.iterations_total == 0
-    assert report.iterations_to_first_stable == 0
     assert report.final_objective_ratio == 1.0
     assert report.relative_model_change == 0.0
-    assert report.converged
+    assert report.primal_residual == report.dual_residual == 0.0
 
 
 def test_scalar_model_fit_reaches_the_boundary_from_above():
@@ -96,17 +96,17 @@ def test_scalar_model_fit_reaches_the_boundary_from_above():
     assert 1.0 - 1e-6 <= a_s < 1.0
     assert report.final_spectral_radius == pytest.approx(a_s)
     assert report.iterations_total >= 1
-    assert report.iterations_to_first_stable >= 1
 
 
 def test_scalar_data_fit_with_exact_data():
-    # data generated by a = 1.05 exactly: zero initial misfit, so the budget
-    # is zero and converged must stay False even though the repair succeeds
+    # data generated by a = 1.05 exactly: zero initial misfit, so the misfit
+    # term drops out, the repair is the clip onto the bound, and any change
+    # is an infinite misfit ratio
     out, report = stabilize(scalar_model(), autonomous_pairs(1.05))
     a_s = out.a[0, 0]
     assert 1.0 - 1e-6 <= a_s < 1.0
+    assert report.certificate == pytest.approx(a_s, rel=1e-15)
     assert np.isinf(report.final_objective_ratio)
-    assert not report.converged
 
 
 def test_tau_moves_the_boundary():
@@ -128,8 +128,8 @@ def test_model_fit_moves_only_the_offending_eigenvalue():
 
 
 def test_closest_model_repair_moves_only_the_a_block():
-    # the distance to the model has zero gradient in B, C and D, and the
-    # penalty acts on A alone, so those blocks come back bit for bit
+    # B re-solved against identity pairs is the model's own B, and C and D
+    # stay as fitted, so those blocks come back bit for bit
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 4))
     model = StateSpaceModel(
@@ -160,9 +160,9 @@ def test_data_fit_repairs_noisy_unstable_model(seed):
     z0, z = model.blocks(), out.blocks()
     change = np.linalg.norm(z - z0) / np.linalg.norm(z0)
     assert report.relative_model_change == pytest.approx(change, rel=1e-9)
-    assert report.converged
     assert f_final <= 1000.0 * f0
-    assert 1 <= report.iterations_to_first_stable <= report.iterations_total
+    assert report.iterations_total >= 1
+    assert report.primal_residual >= 0.0 and report.dual_residual >= 0.0
 
 
 def test_solver_is_deterministic():
@@ -200,19 +200,20 @@ def test_non_finite_inputs_stop_before_the_first_iteration(monkeypatch, where, v
 
 
 def test_a_solve_that_never_gets_inside_raises_with_its_closest_attempt(monkeypatch):
-    # every radius the solve sees is at least 1.5, so no iterate is stable
+    # every radius the final check sees is at least 1.5, so the repair fails
     monkeypatch.setattr(
         stabilize_module, "spectral_radius", lambda a: max(spectral_radius(a), 1.5)
     )
     model, pairs = noisy_unstable_fit(0)
     with pytest.raises(
-        NotStabilizedError, match="no iterate reached spectral radius below 1.0"
+        NotStabilizedError, match=r"repaired spectral radius 1\.5 is not below 1\.0"
     ) as exc:
         stabilize(model, pairs)
     report = exc.value.report
-    assert not report.converged
     assert report.final_spectral_radius >= 1.5
-    assert report.iterations_to_first_stable == -1
+    # the attached model is the repair itself, certified though the check failed
+    assert report.certificate <= 1.0 - 1e-7
+    assert spectral_radius(exc.value.model.a) < 1.0
     assert exc.value.model.order == model.order
 
 
@@ -229,21 +230,23 @@ def test_config_validation():
 def test_report_json_roundtrip(tmp_path):
     report = StabilizeReport(
         iterations_total=7,
-        iterations_to_first_stable=3,
         final_objective_ratio=1.25,
         final_spectral_radius=0.99,
         relative_model_change=0.01,
-        converged=True,
+        certificate=0.995,
+        primal_residual=1e-4,
+        dual_residual=2e-4,
     )
     path = tmp_path / "report.json"
     save_report_json(report, path)
     expected = {
         "iterations_total": 7,
-        "iterations_to_first_stable": 3,
         "final_objective_ratio": 1.25,
         "final_spectral_radius": 0.99,
         "relative_model_change": 0.01,
-        "converged": True,
+        "certificate": 0.995,
+        "primal_residual": 1e-4,
+        "dual_residual": 2e-4,
     }
     assert json.loads(path.read_text()) == expected
     # the field order of the report is the key order of the file
@@ -267,9 +270,8 @@ def test_model_fit_always_lands_inside_the_disk(seed):
 
 
 def test_modulus_clip_lands_the_spectrum_on_the_target():
-    # The clip is the solver's last escape step: it must contract rho onto
-    # the target (up to rounding far inside the 0.99 margin the solver
-    # leaves), including where the outer eigenvalues are complex pairs.
+    # The clip must contract rho onto the target (up to rounding far inside
+    # a 0.99 margin), including where the outer eigenvalues are complex pairs.
     target = 0.9
     complex_outer = 0
     for seed in range(200):
@@ -286,98 +288,76 @@ def test_modulus_clip_lands_the_spectrum_on_the_target():
     assert complex_outer > 50
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pullback_returns_the_stable_point_nearest_the_fit(seed):
-    # The polish pulls the repair back toward the fit along the segment
-    # between them as far as stability allows: the returned A sits on the
-    # boundary, and a step of 0.1% further back leaves the disk.  Without
-    # the pullback rho(A) lands between 0.49 and 0.92 on these fits.
-    model, pairs = noisy_unstable_fit(seed)
-    out, _ = stabilize(model, pairs)
-    assert 1.0 - 1e-6 <= spectral_radius(out.a) < 1.0
-    z0 = model.blocks()
-    back = z0 + 0.999 * (out.blocks() - z0)
-    assert spectral_radius(back[: model.order, : model.order]) > 1.0
+def whitened_norm(model, pairs):
+    """||S A S^-1||_2 with S = diag(1/s), s the row norms of x0 (zero taken as 1)."""
+    s = np.linalg.norm(pairs.x0, axis=1)
+    s[s == 0.0] = 1.0
+    return float(np.linalg.norm(model.a / s[:, None] * s[None, :], 2))
 
 
-def test_line_search_takes_a_strict_decrease_the_slope_overstates():
-    # At a kink the claimed slope (-1) promises far more decrease than phi
-    # gives (-1e-6 per unit step), so no step meets the Armijo condition;
-    # the strict-decrease pass still takes the unit step, which lowers phi.
-    t, phi_t, ok = _line_search(lambda t: 1.0 - 1e-6 * t, lambda t: -1e-6, 1.0, -1.0)
-    assert (t, phi_t, ok) == (1.0, 0.999999, True)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, "tied"])
+def test_repair_is_certified_on_the_boundary(seed):
+    # every iterate of the solve meets ||S A S^-1||_2 <= c, and a fit outside
+    # the bound is repaired onto it, not deeper inside
+    if seed == "tied":
+        model = tied_rotation_model()
+        pairs = closest_model_pairs(model)
+    else:
+        model, pairs = noisy_unstable_fit(seed)
+    out, report = stabilize(model, pairs)
+    c = 1.0 - 1e-7
+    certificate = whitened_norm(out, pairs)
+    assert c - 1e-12 <= certificate <= c
+    assert report.certificate == certificate
+    assert report.final_spectral_radius < 1.0 - 1e-8
 
 
-def test_line_search_tries_each_step_once():
-    # phi never decreases: the search tries the halving steps 1, ..., 2^-44
-    # once each, then reports that no step lowers phi
-    tried = []
-
-    def phi(t):
-        tried.append(t)
-        return 1.0 + t
-
-    assert _line_search(phi, lambda t: 1.0, 1.0, -1.0) == (0.0, 1.0, False)
-    assert tried == [2.0**-k for k in range(45)]
-
-
-def textbook_bfgs_update(h, s, y):
-    """Dense inverse-Hessian BFGS update through full n x n outer products."""
-    sy = float(s @ y)
-    hy = h @ y
-    yhy = float(y @ hy)
-    h += ((sy + yhy) / sy**2) * np.outer(s, s)
-    cross = np.outer(hy, s) / sy
-    h -= cross + cross.T
+@pytest.mark.parametrize("seed", range(5))
+def test_closest_model_repair_is_the_svd_clip(seed):
+    # identity pairs fit the model exactly and have S = I, so the repair is
+    # the nearest A with ||A||_2 <= c: the singular values clipped at c
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((5, 5))
+    model = StateSpaceModel(
+        a=a * (1.3 / spectral_radius(a)), b=rng.standard_normal((5, 2))
+    )
+    out, report = stabilize(model, closest_model_pairs(model))
+    u, sv, vt = np.linalg.svd(model.a)
+    clipped = (u * np.minimum(sv, 1.0 - 1e-7)) @ vt
+    assert np.max(np.abs(out.a - clipped)) <= 1e-12
+    assert np.array_equal(out.b, model.b)
 
 
-def dense_inverse_hessian(pairs, n):
-    """BFGS matrix from scale * I, scale from the newest pair, over pairs in order."""
-    s_new, y_new = pairs[-1]
-    h = (float(s_new @ y_new) / float(y_new @ y_new)) * np.eye(n)
-    for s, y in pairs:
-        textbook_bfgs_update(h, s, y)
-    return h
+@pytest.fixture(scope="module")
+def noise_fits():
+    """The benchmark sweep's pe_noise fits at budgets 1e-2 and 1e-4, built
+    as the sweep builds them: one projection onto the wider basis, sliced."""
+    plant = build_transport_plant(1.3, 1e-3)
+    spec = ExcitationSpec(kind="pe_gaussian_noise", seed=42)
+    traj = generate_excitation(plant, spec, 1.0, 1e-3)
+    bases = pod_sweep(traj.states, (1e-2, 1e-4), mode="absolute")
+    projected = project_pairs(make_pairs(traj), bases[-1].modes)
+    fits = {}
+    for budget, basis in zip((1e-2, 1e-4), bases):
+        n = basis.order
+        pairs = replace(projected, x0=projected.x0[:n], x1=projected.x1[:n])
+        fits[budget] = fit_reduced_iodmd(pairs, basis), pairs
+    return fits
 
 
-def test_two_loop_recursion_matches_the_dense_bfgs_matrix():
-    n = 50
-    rng = np.random.default_rng(0)
-    hessian = _InverseHessian()
-    pairs = []
-    for _ in range(_MEMORY + 1):
-        s = rng.standard_normal(n)
-        y = s + 0.3 * rng.standard_normal(n)
-        assert hessian.update(s, y)
-        pairs.append((s, y))
-        g = rng.standard_normal(n)
-        # the pair past the history length evicts the oldest
-        kept = dense_inverse_hessian(pairs[-_MEMORY:], n)
-        assert np.allclose(hessian.apply(g), kept @ g)
-    assert not np.allclose(hessian.apply(g), dense_inverse_hessian(pairs, n) @ g)
-
-
-@pytest.mark.parametrize("rho_target", [1.3, 5.0])
-def test_no_a_block_is_decomposed_twice_in_one_solve(monkeypatch, rho_target):
-    seen = {"spectral_radius": [], "spectral_radius_gradient": []}
-
-    def recording(name):
-        original = getattr(stabilize_module, name)
-
-        def record(a):
-            seen[name].append((a.shape, a.tobytes()))
-            return original(a)
-
-        return record
-
-    for name in seen:
-        monkeypatch.setattr(stabilize_module, name, recording(name))
-    model, pairs = noisy_unstable_fit(0, rho_target=rho_target)
-    stabilize(model, pairs)
-    for name, keys in seen.items():
-        assert keys, name
-        for i, key in enumerate(keys):
-            assert key not in keys[:i], (name, i)
+@pytest.mark.parametrize("budget", [1e-2, 1e-4])
+def test_repair_is_stable_under_rounding_of_the_fit(noise_fits, budget):
+    # A0 times 1 + 1e-14 N(0, 1) entrywise is the same fit up to rounding,
+    # so its repair must be the same up to rounding too
+    model, pairs = noise_fits[budget]
+    assert spectral_radius(model.a) >= 1.0
+    rng = np.random.default_rng(7)
+    nudged = replace(model, a=model.a * (1.0 + 1e-14 * rng.standard_normal(model.a.shape)))
+    _, report = stabilize(model, pairs)
+    _, nudged_report = stabilize(nudged, pairs)
+    for name in ("relative_model_change", "final_objective_ratio"):
+        value, nudged_value = getattr(report, name), getattr(nudged_report, name)
+        assert nudged_value == pytest.approx(value, rel=1e-6), name
 
 
 def test_back_to_back_solves_match_solo_solves():
