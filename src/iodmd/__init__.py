@@ -34,7 +34,6 @@ from .identify import (
     to_continuous,
 )
 from .plant import (
-    SimConfig,
     build_transport_plant,
     relative_output_error,
     simulate_continuous,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identify import StateSpaceModel
-from .plant import SimConfig, simulate_continuous
+from .linalg import _positive_finite
+from .plant import simulate_continuous
 from .snapshot import TrajectoryData
 
 __all__ = [
@@ -46,6 +47,17 @@ class ExcitationSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
+def _step_count(T: float, dt: float) -> int:
+    """The number of steps of width ``dt`` in [0, T]: positive finite ``dt``
+    and ``T``, with ``T`` a positive integer multiple of ``dt``."""
+    _positive_finite(dt, "dt")
+    _positive_finite(T, "horizon")
+    ratio = T / dt
+    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
+        raise ValueError("horizon must be a positive integer multiple of dt")
+    return int(round(ratio))
+
+
 def target_input(times) -> np.ndarray:
     """The benchmark's reference input: a wide Gaussian bell centered at t=0.1."""
     t = np.asarray(times, dtype=float)
@@ -64,6 +76,8 @@ def generate_excitation(
     input, on the same grid. The returned trajectory carries stage-2 states
     and outputs with the replayed signal as inputs.
     """
+    steps = _step_count(T, dt)
+    shape = (plant.n_inputs, steps + 1)
     if spec.kind.startswith("ce_"):
         if plant.n_inputs != plant.n_outputs:
             raise ValueError(
@@ -78,19 +92,16 @@ def generate_excitation(
         # Stage two replays the recorded outputs with zero-order-hold timing, so
         # sample u_k drives transition k -> k+1 and the stacked snapshot/input
         # pairs satisfy the implicit-Euler stencil exactly.
-        cfg = SimConfig(dt=dt, horizon=T, input_timing="start")
         # stage 2 replays only stage 1's outputs, so stage 1's state record, as
         # large as stage 2's, is freed before stage 2 allocates its own
-        replayed = simulate_continuous(plant, None, x0, cfg).outputs
-        return simulate_continuous(plant, replayed, None, cfg)
-    cfg = SimConfig(dt=dt, horizon=T)
-    shape = (plant.n_inputs, cfg.n_steps + 1)
+        replayed = simulate_continuous(plant, np.zeros(shape), x0, dt, "start").outputs
+        return simulate_continuous(plant, replayed, None, dt, "start")
     if spec.kind == "pe_gaussian_noise":
         rng = np.random.default_rng(spec.seed)
         u = rng.standard_normal(shape)
     elif spec.kind == "pe_step":
         u = np.ones(shape)
     else:
-        times = np.arange(cfg.n_steps + 1) * dt
+        times = np.arange(steps + 1) * dt
         u = np.tile(target_input(times), (plant.n_inputs, 1))
-    return simulate_continuous(plant, u, None, cfg)
+    return simulate_continuous(plant, u, None, dt)

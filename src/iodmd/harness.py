@@ -18,11 +18,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .excite import ExcitationSpec, generate_excitation, target_input
+from .excite import ExcitationSpec, _step_count, generate_excitation, target_input
 from .identify import StateSpaceModel, fit_reduced_iodmd
 from .linalg import spectral_radius
 from .plant import (
-    SimConfig,
     build_transport_plant,
     relative_output_error,
     simulate_continuous,
@@ -191,10 +190,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     that excitation's rows. Rows are returned in config order.
     """
     plant = build_transport_plant(cfg.transport_speed, cfg.dx)
-    eval_cfg = SimConfig(dt=cfg.dt, horizon=cfg.horizon, input_timing="start")
-    times = np.arange(eval_cfg.n_steps + 1) * cfg.dt
+    times = np.arange(_step_count(cfg.horizon, cfg.dt) + 1) * cfg.dt
     u_hat = np.tile(target_input(times), (plant.n_inputs, 1))
-    y_ref = simulate_continuous(plant, u_hat, None, eval_cfg).outputs
+    y_ref = simulate_continuous(plant, u_hat, None, cfg.dt, "start").outputs
 
     def sweep_one(tag: str) -> list[ExperimentRow]:
         t_shared = time.perf_counter()

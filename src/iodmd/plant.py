@@ -9,8 +9,6 @@ right one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
@@ -20,40 +18,11 @@ from .linalg import _as_real_matrix, _positive_finite
 from .snapshot import TrajectoryData
 
 __all__ = [
-    "SimConfig",
     "build_transport_plant",
     "simulate_continuous",
     "simulate_discrete",
     "relative_output_error",
 ]
-
-
-@dataclass
-class SimConfig:
-    """Time grid and stepping options.
-
-    ``input_timing`` picks which input sample enters the implicit update
-    for step k -> k+1: "end" uses u_{k+1} (stage-time sampling of a
-    continuous signal), "start" uses u_k (zero-order hold). Both are
-    first-order accurate.
-    """
-
-    dt: float
-    horizon: float
-    input_timing: str = "end"
-
-    def __post_init__(self) -> None:
-        _positive_finite(self.dt, "dt")
-        _positive_finite(self.horizon, "horizon")
-        if self.input_timing not in ("end", "start"):
-            raise ValueError(f"unknown input_timing {self.input_timing!r}")
-        ratio = self.horizon / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
-            raise ValueError("horizon must be a positive integer multiple of dt")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.horizon / self.dt))
 
 
 def build_transport_plant(speed: float, dx: float) -> StateSpaceModel:
@@ -78,17 +47,16 @@ def build_transport_plant(speed: float, dx: float) -> StateSpaceModel:
     return StateSpaceModel(a, b, c, time_domain="continuous")
 
 
-def _checked_run(model: StateSpaceModel, domain: str, u, x0, n_samples=None):
+def _checked_run(model: StateSpaceModel, domain: str, u, x0):
     """Input samples of shape (inputs, samples) and the initial state.
 
-    ``u`` is M x ``n_samples``, and None is zero input over ``n_samples``
-    samples, so without a sample count it must be given. ``x0=None`` starts
-    at rest.
+    ``u`` is M x samples with at least one sample; ``x0=None`` starts at
+    rest.
     """
     if model.time_domain != domain:
         raise ValueError(f"simulate_{domain} requires a {domain}-time model")
     r = model.order
-    u_arr = _as_real_matrix(u, "u", model.n_inputs, n_samples)
+    u_arr = _as_real_matrix(u, "u", model.n_inputs)
     if u_arr.shape[1] < 1:
         raise ValueError("need at least one input sample (use zeros for autonomous runs)")
     start = np.zeros(r) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
@@ -97,28 +65,35 @@ def _checked_run(model: StateSpaceModel, domain: str, u, x0, n_samples=None):
     return u_arr, start
 
 
-def simulate_continuous(model: StateSpaceModel, u, x0, cfg: SimConfig) -> TrajectoryData:
+def simulate_continuous(
+    model: StateSpaceModel, u, x0, dt: float, input_timing: str = "end"
+) -> TrajectoryData:
     """Implicit-Euler integration of a continuous-time model on a uniform grid.
 
-    Steps x_{k+1} = (I - dt A)^{-1} (x_k + dt B u_*), where u_* is
-    u_{k+1} or u_k depending on cfg.input_timing, and reads
-    y_k = C x_k + D u_k. The sparse LU of (I - dt A) is computed once and
+    The K samples of ``u`` fix the grid: K - 1 steps of width ``dt``. Steps
+    x_{k+1} = (I - dt A)^{-1} (x_k + dt B u_*) and reads y_k = C x_k + D u_k.
+    ``input_timing`` picks u_*: "end" uses u_{k+1} (stage-time sampling of a
+    continuous signal), "start" uses u_k (zero-order hold); both are
+    first-order accurate. The sparse LU of (I - dt A) is computed once and
     reused for every step; a sparse A, such as the transport plant's, is
     factored as stored, and a dense one is converted first.
     """
-    steps = cfg.n_steps
-    u_arr, start = _checked_run(model, "continuous", u, x0, steps + 1)
+    _positive_finite(dt, "dt")
+    if input_timing not in ("end", "start"):
+        raise ValueError(f"unknown input_timing {input_timing!r}")
+    u_arr, start = _checked_run(model, "continuous", u, x0)
+    steps = u_arr.shape[1] - 1
     n = model.order
-    lu = splu(sparse.identity(n, format="csc") - cfg.dt * sparse.csc_matrix(model.a))
+    lu = splu(sparse.identity(n, format="csc") - dt * sparse.csc_matrix(model.a))
 
     x = np.empty((n, steps + 1))
     x[:, 0] = start
-    shift = 1 if cfg.input_timing == "end" else 0
+    shift = 1 if input_timing == "end" else 0
     for k in range(steps):
-        rhs = x[:, k] + cfg.dt * (model.b @ u_arr[:, k + shift])
+        rhs = x[:, k] + dt * (model.b @ u_arr[:, k + shift])
         x[:, k + 1] = lu.solve(rhs)
     y = model.c @ x + model.d @ u_arr
-    return TrajectoryData(states=x, inputs=u_arr, outputs=y, step_width=cfg.dt)
+    return TrajectoryData(states=x, inputs=u_arr, outputs=y, step_width=dt)
 
 
 def simulate_discrete(model: StateSpaceModel, u, x0=None) -> TrajectoryData:
@@ -133,12 +108,7 @@ def simulate_discrete(model: StateSpaceModel, u, x0=None) -> TrajectoryData:
     for k, drive in enumerate((model.b @ u_arr)[:, :-1].T):
         x[:, k + 1] = model.a @ x[:, k] + drive
     y = model.c @ x + model.d @ u_arr
-    return TrajectoryData(
-        states=x,
-        inputs=u_arr,
-        outputs=y,
-        step_width=model.step_width if model.step_width is not None else 1.0,
-    )
+    return TrajectoryData(states=x, inputs=u_arr, outputs=y, step_width=model.step_width)
 
 
 def relative_output_error(y_ref, y_test) -> float:

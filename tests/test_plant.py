@@ -9,7 +9,6 @@ from scipy import sparse
 from iodmd.excite import ExcitationSpec, generate_excitation
 from iodmd.identify import StateSpaceModel
 from iodmd.plant import (
-    SimConfig,
     build_transport_plant,
     relative_output_error,
     simulate_continuous,
@@ -65,30 +64,42 @@ def test_sparse_and_dense_plants_simulate_to_the_bit(kind):
     assert np.array_equal(stored.outputs, converted.outputs)
 
 
+def scalar_plant():
+    return StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], time_domain="continuous")
+
+
 def test_sim_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.0, horizon=1.0)
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.3, horizon=1.0)  # not an integer number of steps
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.1, horizon=1.0, input_timing="middle")
-    assert SimConfig(dt=0.1, horizon=1.0).n_steps == 10
+    # the simulation settings: dt and input_timing belong to the integrator,
+    # the horizon T and its grid to the excitation
+    u = np.zeros((1, 11))
+    with pytest.raises(ValueError, match="need a positive finite dt"):
+        simulate_continuous(scalar_plant(), u, None, 0.0)
+    with pytest.raises(ValueError, match="unknown input_timing 'middle'"):
+        simulate_continuous(scalar_plant(), u, None, 0.1, input_timing="middle")
+    spec = ExcitationSpec(kind="pe_step")
+    with pytest.raises(ValueError, match="need a positive finite dt"):
+        generate_excitation(scalar_plant(), spec, T=1.0, dt=0.0)
+    with pytest.raises(ValueError, match="horizon must be a positive integer multiple of dt"):
+        generate_excitation(scalar_plant(), spec, T=1.0, dt=0.3)  # not an integer number of steps
+    assert generate_excitation(scalar_plant(), spec, T=1.0, dt=0.1).n_samples == 10 + 1
 
 
 @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
 def test_sim_config_needs_a_positive_finite_dt_and_horizon(step):
     with pytest.raises(ValueError, match="need a positive finite dt"):
-        SimConfig(dt=step, horizon=1.0)
+        simulate_continuous(scalar_plant(), np.zeros((1, 11)), None, step)
+    spec = ExcitationSpec(kind="pe_step")
+    with pytest.raises(ValueError, match="need a positive finite dt"):
+        generate_excitation(scalar_plant(), spec, T=1.0, dt=step)
     with pytest.raises(ValueError, match="need a positive finite horizon"):
-        SimConfig(dt=0.1, horizon=step)
+        generate_excitation(scalar_plant(), spec, T=step, dt=0.1)
 
 
 def test_implicit_euler_matches_scalar_closed_form():
     # x' = a x + b u with constant u: x_{k+1} = (x_k + dt b u) / (1 - dt a)
     a, b, u, dt = -2.0, 3.0, 1.5, 0.1
     plant = StateSpaceModel([[a]], [[b]], [[1.0]], time_domain="continuous")
-    cfg = SimConfig(dt=dt, horizon=1.0)
-    traj = simulate_continuous(plant, np.full((1, 11), u), None, cfg)
+    traj = simulate_continuous(plant, np.full((1, 11), u), None, dt)
     x = 0.0
     for k in range(10):
         x = (x + dt * b * u) / (1 - dt * a)
@@ -100,22 +111,20 @@ def test_input_timing_selects_the_sample():
     # one step with a ramp input distinguishes u_0 from u_1
     plant = StateSpaceModel([[0.0]], [[1.0]], [[1.0]], time_domain="continuous")
     u = np.array([[0.0, 1.0]])
-    cfg_end = SimConfig(dt=1.0, horizon=1.0, input_timing="end")
-    cfg_start = SimConfig(dt=1.0, horizon=1.0, input_timing="start")
-    assert simulate_continuous(plant, u, None, cfg_end).states[0, 1] == 1.0
-    assert simulate_continuous(plant, u, None, cfg_start).states[0, 1] == 0.0
+    assert simulate_continuous(plant, u, None, 1.0, input_timing="end").states[0, 1] == 1.0
+    assert simulate_continuous(plant, u, None, 1.0, input_timing="start").states[0, 1] == 0.0
 
 
 def test_transport_delay_reaches_output_after_one_over_speed():
     # a bell input entering at x=0 shows up at x=1 after roughly 1/speed
     plant = build_transport_plant(speed=1.3, dx=0.01)
-    cfg = SimConfig(dt=1e-3, horizon=1.0)
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    n_steps = 1000
+    times = np.arange(n_steps + 1) * 1e-3
     u = np.exp(-((times - 0.1) ** 2) / 1000.0).reshape(1, -1)
-    traj = simulate_continuous(plant, u, None, cfg)
+    traj = simulate_continuous(plant, u, None, 1e-3)
     y = traj.outputs[0]
     arrival = 1.0 / 1.3  # about 0.77
-    assert y[int(0.5 * cfg.n_steps)] < 0.05  # nothing before the wave arrives
+    assert y[int(0.5 * n_steps)] < 0.05  # nothing before the wave arrives
     assert y[-1] > 0.9  # settled near the inflow level afterwards
     crossing = times[np.argmax(y > 0.5)]
     assert abs(crossing - arrival) < 0.05
@@ -123,23 +132,21 @@ def test_transport_delay_reaches_output_after_one_over_speed():
 
 def test_simulate_continuous_rejects_bad_start_and_method():
     plant = build_transport_plant(speed=1.0, dx=0.5)
-    cfg = SimConfig(dt=0.1, horizon=0.5)
-    with pytest.raises(ValueError):
-        simulate_continuous(plant, None, np.ones(3), cfg)
-    with pytest.raises(ValueError):
-        simulate_continuous(plant, np.zeros((1, 5)), None, cfg)  # needs 6 samples
+    with pytest.raises(ValueError, match="x0 must have 2 entries, got 3"):
+        simulate_continuous(plant, np.zeros((1, 6)), np.ones(3), 0.1)
+    with pytest.raises(ValueError, match="need at least one input sample"):
+        simulate_continuous(plant, np.zeros((1, 0)), None, 0.1)  # the grid has no point
     discrete = StateSpaceModel(plant.a, plant.b, plant.c, step_width=0.1)
     with pytest.raises(ValueError, match="continuous-time model"):
-        simulate_continuous(discrete, None, None, cfg)
+        simulate_continuous(discrete, np.zeros((1, 6)), None, 0.1)
 
 
 def test_simulate_continuous_reads_c_x_plus_d_u():
     rng = np.random.default_rng(3)
     a, b, c, d = (rng.standard_normal(shape) for shape in ((3, 3), (3, 2), (2, 3), (2, 2)))
     model = StateSpaceModel(a - 3.0 * np.eye(3), b, c, d, time_domain="continuous")
-    cfg = SimConfig(dt=0.05, horizon=0.5)
     u = rng.standard_normal((2, 11))
-    traj = simulate_continuous(model, u, rng.standard_normal(3), cfg)
+    traj = simulate_continuous(model, u, rng.standard_normal(3), 0.05)
     assert np.allclose(traj.outputs, c @ traj.states + d @ u, atol=1e-14)
     assert not np.allclose(traj.outputs, c @ traj.states)
 
@@ -178,8 +185,8 @@ def test_simulate_discrete_initial_state_and_validation():
     with pytest.raises(ValueError, match=re.escape("u must be a 2x* matrix, got shape (6,)")):
         simulate_discrete(two_inputs, np.zeros(6))
     plant = StateSpaceModel([[-1.0]], [[1.0, 1.0]], [[1.0]], time_domain="continuous")
-    with pytest.raises(ValueError, match=re.escape("u must be a 2x11 matrix, got shape (22,)")):
-        simulate_continuous(plant, np.zeros(22), None, SimConfig(dt=0.1, horizon=1.0))
+    with pytest.raises(ValueError, match=re.escape("u must be a 2x* matrix, got shape (22,)")):
+        simulate_continuous(plant, np.zeros(22), None, 0.1)
 
 
 def test_relative_output_error_hand_values():

@@ -360,6 +360,28 @@ def test_repair_is_stable_under_rounding_of_the_fit(noise_fits, budget):
         assert nudged_value == pytest.approx(value, rel=1e-6), name
 
 
+def test_each_repair_factors_its_row_systems_once(monkeypatch, noise_fits):
+    # the ADMM penalty is fixed, so the row systems of a repair are inverted
+    # as one batch before the first step, and a stable model inverts nothing
+    inv, shapes = np.linalg.inv, []
+
+    def counted(a):
+        shapes.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    tied = tied_rotation_model()
+    cases = [
+        (*noise_fits[1e-2], 1),
+        (tied, closest_model_pairs(tied), 1),
+        (scalar_model(0.5), autonomous_pairs(0.5), 0),
+    ]
+    for model, pairs, expected in cases:
+        shapes.clear()
+        stabilize(model, pairs)
+        assert shapes == [(model.order,) * 3] * expected
+
+
 def test_back_to_back_solves_match_solo_solves():
     # both models have order 5, so spectral data that outlived one solve
     # would feed one model the other's radii
