@@ -18,7 +18,6 @@ from .linalg import (
 from .snapshot import (
     SnapshotPairs,
     TrajectoryData,
-    concat_pairs,
     load_trajectory_csv,
     make_pairs,
     project_pairs,
@@ -31,7 +30,6 @@ from .identify import (
     fit_reduced_iodmd,
     load_model_json,
     save_model_json,
-    to_continuous,
 )
 from .plant import (
     build_transport_plant,
@@ -47,7 +45,6 @@ from .excite import (
 from .stabilize import (
     NotStabilizedError,
     StabilizeReport,
-    save_report_json,
     stabilize,
 )
 from .harness import (

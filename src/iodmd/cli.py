@@ -3,8 +3,10 @@
 Three subcommands: `run` executes an excitation-by-budget sweep on the
 transport benchmark and writes CSV tables, `identify` fits one reduced
 model from a trajectory CSV, `stabilize` repairs a saved model against the
-data it was identified from. Exit code 0 means full success; 2 means at
-least one sweep cell failed or the requested solve did not succeed.
+data it was identified from. Exit code 0 means full success; 1 means an
+input file cannot be read or used, reported in one line that names it; 2
+means at least one sweep cell failed or the requested solve did not
+succeed, and is also argparse's code for a usage error.
 """
 
 from __future__ import annotations
@@ -198,7 +200,11 @@ def _read(load, path):
 
 def _cmd_identify(args) -> int:
     traj = _read(load_trajectory_csv, args.data)
-    basis = pod_basis(traj.states, args.budget, mode=args.budget_mode)
+    try:
+        basis = pod_basis(traj.states, args.budget, mode=args.budget_mode)
+    except ValueError as exc:
+        # the loader passes finite states; all-zero ones have no basis
+        raise SystemExit(f"cannot use {args.data}: {exc}") from None
     pairs = project_pairs(make_pairs(traj), basis.modes)
     model = fit_reduced_iodmd(pairs, basis, args.reg_eps)
     save_model_json(model, args.out)

@@ -29,7 +29,6 @@ __all__ = [
     "StateSpaceModel",
     "fit_iodmd",
     "fit_reduced_iodmd",
-    "to_continuous",
     "save_model_json",
     "load_model_json",
 ]
@@ -113,18 +112,18 @@ def _stacked_data(pairs: SnapshotPairs) -> tuple[np.ndarray, np.ndarray]:
 def _split_blocks(
     g: np.ndarray,
     n: int,
-    step_width: float | None,
+    step_width: float,
     basis: np.ndarray | None = None,
     underdetermined: bool = False,
 ) -> StateSpaceModel:
     """The discrete model whose stacked operator [A B; C D] is ``g``, with A
-    of order ``n``; an unknown step width becomes 1."""
+    of order ``n``."""
     return StateSpaceModel(
         a=g[:n, :n],
         b=g[:n, n:],
         c=g[n:, :n],
         d=g[n:, n:],
-        step_width=1.0 if step_width is None else step_width,
+        step_width=step_width,
         basis=basis,
         underdetermined=underdetermined,
     )
@@ -164,27 +163,6 @@ def fit_reduced_iodmd(
     model = fit_iodmd(pairs, eps)
     model.basis = q
     return model
-
-
-def to_continuous(model: StateSpaceModel) -> StateSpaceModel:
-    """First-order Euler conversion of a discrete model to continuous time.
-
-    Inverts x_{k+1} = x_k + h (A_c x_k + B_c u_k) with h the model's own
-    ``step_width``: A_c = (A - I)/h and B_c = B/h, with C and D unchanged.
-    """
-    if model.time_domain != "discrete":
-        raise ValueError("model is already continuous")
-    h = model.step_width
-    return StateSpaceModel(
-        a=(model.a - np.eye(model.order)) / h,
-        b=model.b / h,
-        c=model.c.copy(),
-        d=model.d.copy(),
-        time_domain="continuous",
-        step_width=None,
-        basis=None if model.basis is None else model.basis.copy(),
-        underdetermined=model.underdetermined,
-    )
 
 
 def save_model_json(model: StateSpaceModel, path) -> None:

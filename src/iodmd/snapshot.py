@@ -21,7 +21,6 @@ __all__ = [
     "TrajectoryData",
     "SnapshotPairs",
     "make_pairs",
-    "concat_pairs",
     "project_pairs",
     "save_trajectory_csv",
     "load_trajectory_csv",
@@ -63,17 +62,15 @@ class SnapshotPairs:
     """Aligned (x0, x1, u0, y0) matrices; column k of x1 succeeds column k of x0.
 
     ``x0`` is a 2-D N x K matrix and ``x1`` has its shape; ``u0`` and ``y0``
-    have K columns, with None for an empty block. ``step_width`` is carried
-    along from the source trajectory when known, and must then be positive
-    and finite; it is None for concatenations of differently stepped
-    trajectories.
+    have K columns, with None for an empty block. ``step_width`` must be
+    positive and finite; ``make_pairs`` and ``project_pairs`` carry it along.
     """
 
     x0: np.ndarray
     x1: np.ndarray
     u0: np.ndarray | None = None
     y0: np.ndarray | None = None
-    step_width: float | None = None
+    step_width: float = 1.0
 
     def __post_init__(self) -> None:
         self.x0 = _as_real_matrix(self.x0, "x0")
@@ -82,8 +79,7 @@ class SnapshotPairs:
         k = self.x0.shape[1]
         self.u0 = _as_real_matrix(self.u0, "u0", cols=k)
         self.y0 = _as_real_matrix(self.y0, "y0", cols=k)
-        if self.step_width is not None:
-            _positive_finite(self.step_width)
+        _positive_finite(self.step_width)
 
     @property
     def n_states(self) -> int:
@@ -96,10 +92,6 @@ class SnapshotPairs:
     @property
     def n_outputs(self) -> int:
         return self.y0.shape[0]
-
-    @property
-    def n_pairs(self) -> int:
-        return self.x0.shape[1]
 
 
 def make_pairs(traj: TrajectoryData) -> SnapshotPairs:
@@ -116,28 +108,6 @@ def make_pairs(traj: TrajectoryData) -> SnapshotPairs:
         u0=traj.inputs[:, :-1],
         y0=traj.outputs[:, :-1],
         step_width=traj.step_width,
-    )
-
-
-def concat_pairs(pairs: list[SnapshotPairs]) -> SnapshotPairs:
-    """Column-wise concatenation of snapshot pairs from several experiments."""
-    if not pairs:
-        raise ValueError("cannot concatenate an empty list of pairs")
-    first = pairs[0]
-    for p in pairs[1:]:
-        if (p.n_states, p.n_inputs, p.n_outputs) != (
-            first.n_states,
-            first.n_inputs,
-            first.n_outputs,
-        ):
-            raise ValueError("all pairs must agree in state/input/output dimensions")
-    widths = {p.step_width for p in pairs}
-    return SnapshotPairs(
-        x0=np.hstack([p.x0 for p in pairs]),
-        x1=np.hstack([p.x1 for p in pairs]),
-        u0=np.hstack([p.u0 for p in pairs]),
-        y0=np.hstack([p.y0 for p in pairs]),
-        step_width=widths.pop() if len(widths) == 1 else None,
     )
 
 

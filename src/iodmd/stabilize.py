@@ -31,9 +31,7 @@ the input: rounding-level changes of the fit move the repair by as little.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-import json
-import pathlib
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -48,7 +46,6 @@ __all__ = [
     "StabilizeReport",
     "NotStabilizedError",
     "stabilize",
-    "save_report_json",
 ]
 
 # ADMM steps of every repair; there is no residual stop
@@ -296,7 +293,3 @@ def stabilize(
             report,
         )
     return repaired, report
-
-
-def save_report_json(report: StabilizeReport, path: str | pathlib.Path) -> None:
-    pathlib.Path(path).write_text(json.dumps(asdict(report), indent=1) + "\n")

@@ -380,6 +380,8 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
     header_only.write_text(data.read_text().splitlines()[0] + "\n")
     no_state = tmp_path / "no_state.csv"
     no_state.write_text("t,u1,y1\n0,1,2\n0.1,3,4\n")
+    zero_states = tmp_path / "zero_states.csv"
+    zero_states.write_text("t,x1,x2,u1,y1\n0,0,0,1,2\n0.1,0,0,3,4\n0.2,0,0,5,6\n")
     missing = tmp_path / "missing"
     out = tmp_path / "out.json"
     cases = [
@@ -433,6 +435,11 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
         (
             ["identify", "--data", str(no_state), "--budget", "1e-1"],
             f"cannot read {no_state}: {no_state}: header 't,u1,y1' names no state column",
+        ),
+        # well-formed, but all-zero states span no POD basis
+        (
+            ["identify", "--data", str(zero_states), "--budget", "1e-1"],
+            f"cannot use {zero_states}: cannot build a POD basis from a zero snapshot matrix",
         ),
     ]
     for argv, message in cases:

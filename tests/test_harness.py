@@ -216,7 +216,7 @@ def test_each_excitation_is_projected_once_for_fit_and_repair(monkeypatch):
     for (kind, _), (pairs, basis) in fits.items():
         expected = project_pairs(make_pairs(trajs[kind]), basis.modes)
         for got, want in ((pairs.x0, expected.x0), (pairs.x1, expected.x1)):
-            assert got.shape == want.shape == (basis.order, expected.n_pairs)
+            assert got.shape == want.shape == (basis.order, expected.x0.shape[1])
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert np.array_equal(pairs.u0, expected.u0)
         assert np.array_equal(pairs.y0, expected.y0)

@@ -1,7 +1,6 @@
 """Least-squares identification against closed-form and lstsq oracles."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from iodmd.identify import (
     fit_reduced_iodmd,
     load_model_json,
     save_model_json,
-    to_continuous,
 )
 from iodmd.pod import PodBasis, pod_basis
 from iodmd.snapshot import SnapshotPairs, TrajectoryData, make_pairs, project_pairs
@@ -185,22 +183,6 @@ def test_reduced_iodmd_needs_pairs_in_basis_coordinates():
     empty = PodBasis(np.zeros((6, 0)), np.zeros(0), 0.0, 0.0)
     with pytest.raises(ValueError, match="0 states, the basis has 0 columns"):
         fit_reduced_iodmd(project_pairs(pairs, empty.modes), empty)
-
-
-def test_to_continuous_inverts_explicit_euler():
-    model = replace(random_system(31), step_width=0.25)
-    cont = to_continuous(model)
-    assert cont.time_domain == "continuous"
-    assert cont.step_width is None
-    assert np.allclose(cont.a, (model.a - np.eye(model.order)) / 0.25)
-    assert np.allclose(cont.b, model.b / 0.25)
-    assert np.array_equal(cont.c, model.c)
-    assert np.array_equal(cont.d, model.d)
-    assert not cont.underdetermined
-    flagged = StateSpaceModel(a=0.5 * np.eye(2), underdetermined=True)
-    assert to_continuous(flagged).underdetermined
-    with pytest.raises(ValueError):
-        to_continuous(cont)
 
 
 def test_model_json_roundtrip_exact(tmp_path):

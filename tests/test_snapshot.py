@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from iodmd.snapshot import (
     SnapshotPairs,
     TrajectoryData,
-    concat_pairs,
     load_trajectory_csv,
     make_pairs,
     project_pairs,
@@ -30,7 +29,7 @@ def test_make_pairs_aligns_columns():
     assert np.array_equal(pairs.u0, [[10.0, 11.0, 12.0]])
     assert np.array_equal(pairs.y0, [[0.0, 1.0, 4.0]])
     assert pairs.step_width == 0.5
-    assert pairs.n_pairs == 3
+    assert pairs.x0.shape[1] == 3
 
 
 def test_make_pairs_needs_two_samples():
@@ -80,25 +79,9 @@ def test_every_step_width_is_positive_and_finite(step):
         TrajectoryData(states=x, step_width=step)
     with pytest.raises(ValueError, match="need a positive finite step_width"):
         SnapshotPairs(x0=x, x1=x, step_width=step)
-    assert SnapshotPairs(x0=x, x1=x, step_width=None).step_width is None
-
-
-def test_concat_pairs_stacks_columns():
-    a = make_pairs(small_traj())
-    b = make_pairs(small_traj())
-    both = concat_pairs([a, b])
-    assert both.n_pairs == 6
-    assert np.array_equal(both.x0[:, :3], a.x0)
-    assert np.array_equal(both.x0[:, 3:], b.x0)
-    assert both.step_width == 0.5
-
-
-def test_concat_pairs_mixed_step_widths_drop_to_none():
-    a = make_pairs(small_traj())
-    traj = small_traj()
-    traj.step_width = 0.25
-    b = make_pairs(traj)
-    assert concat_pairs([a, b]).step_width is None
+    with pytest.raises(ValueError, match="need a positive finite step_width"):
+        SnapshotPairs(x0=x, x1=x, step_width=None)
+    assert SnapshotPairs(x0=x, x1=x).step_width == 1.0
 
 
 def test_project_pairs_applies_basis_transpose():

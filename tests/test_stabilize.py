@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 import importlib
-import json
 
 import numpy as np
 import pytest
@@ -17,10 +16,8 @@ from iodmd.pod import pod_sweep
 from iodmd.snapshot import SnapshotPairs, make_pairs, project_pairs
 from iodmd.stabilize import (
     NotStabilizedError,
-    StabilizeReport,
     _modulus_clip_shift,
     check_tau,
-    save_report_json,
     stabilize,
 )
 
@@ -225,32 +222,6 @@ def test_config_validation():
         # stabilize checks tau before it reads the model or the data
         with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\)"):
             stabilize(None, None, tau)
-
-
-def test_report_json_roundtrip(tmp_path):
-    report = StabilizeReport(
-        iterations_total=7,
-        final_objective_ratio=1.25,
-        final_spectral_radius=0.99,
-        relative_model_change=0.01,
-        certificate=0.995,
-        primal_residual=1e-4,
-        dual_residual=2e-4,
-    )
-    path = tmp_path / "report.json"
-    save_report_json(report, path)
-    expected = {
-        "iterations_total": 7,
-        "final_objective_ratio": 1.25,
-        "final_spectral_radius": 0.99,
-        "relative_model_change": 0.01,
-        "certificate": 0.995,
-        "primal_residual": 1e-4,
-        "dual_residual": 2e-4,
-    }
-    assert json.loads(path.read_text()) == expected
-    # the field order of the report is the key order of the file
-    assert path.read_text() == json.dumps(expected, indent=1) + "\n"
 
 
 @given(st.integers(0, 10_000))
