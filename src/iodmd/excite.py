@@ -1,4 +1,4 @@
-"""Training-data generation: persistent excitation, cross excitation and the
+"""Every drive of the plant: persistent excitation, cross excitation and the
 benchmark bell, all through ``generate_excitation``.
 
 Persistent excitation drives the plant from rest with a rich input (white
@@ -6,7 +6,17 @@ Gaussian noise or a constant step). Cross excitation composes the
 observability and input-to-state maps of a square plant: an autonomous run
 from a perturbed initial state produces an output signal which is then
 replayed as the input of a second run from rest. The second run's states
-and outputs, together with the replayed input, form the training data.
+and outputs, together with the replayed input, form the training data. The
+bell drives the plant from rest too; its trajectory is both the ``target``
+training data and the sweep's reference output.
+
+Every kind but ``pe_gaussian_noise`` drives the plant at zero-order hold:
+u_k drives the step k -> k+1, the data equation x_{k+1} = A x_k + B u_k of
+the snapshot pairs, so the cross-excitation pairs satisfy the
+implicit-Euler stencil exactly. White noise is simulated with u_{k+1}
+driving the step instead. u_{k+1} is then independent of every regressor,
+so its fits miss the input and are unstable; they are the benchmark's
+unstable fits, the ones the stabilizer repairs.
 """
 
 from __future__ import annotations
@@ -74,7 +84,10 @@ def generate_excitation(
     plant: stage 1 runs the plant autonomously from a perturbed initial
     state and records the output; stage 2 runs from rest with that output as
     input, on the same grid. The returned trajectory carries stage-2 states
-    and outputs with the replayed signal as inputs.
+    and outputs with the replayed signal as inputs. The last run is at
+    zero-order hold (``input_timing="start"``) for every kind but
+    ``pe_gaussian_noise``, which runs at ``"end"``; the module docstring
+    says why.
     """
     steps = _step_count(T, dt)
     shape = (plant.n_inputs, steps + 1)
@@ -89,14 +102,11 @@ def generate_excitation(
             x0 = rng.standard_normal(plant.order)
         else:
             x0 = np.ones(plant.order)
-        # Stage two replays the recorded outputs with zero-order-hold timing, so
-        # sample u_k drives transition k -> k+1 and the stacked snapshot/input
-        # pairs satisfy the implicit-Euler stencil exactly.
         # stage 2 replays only stage 1's outputs, so stage 1's state record, as
-        # large as stage 2's, is freed before stage 2 allocates its own
-        replayed = simulate_continuous(plant, np.zeros(shape), x0, dt, "start").outputs
-        return simulate_continuous(plant, replayed, None, dt, "start")
-    if spec.kind == "pe_gaussian_noise":
+        # large as stage 2's, is freed before stage 2 allocates its own; stage
+        # 1's input is zero, so its timing does not matter
+        u = simulate_continuous(plant, np.zeros(shape), x0, dt).outputs
+    elif spec.kind == "pe_gaussian_noise":
         rng = np.random.default_rng(spec.seed)
         u = rng.standard_normal(shape)
     elif spec.kind == "pe_step":
@@ -104,4 +114,11 @@ def generate_excitation(
     else:
         times = np.arange(steps + 1) * dt
         u = np.tile(target_input(times), (plant.n_inputs, 1))
-    return simulate_continuous(plant, u, None, dt)
+    # Zero-order hold ("start": u_k drives step k -> k+1) is the data equation
+    # x_{k+1} = A x_k + B u_k that the snapshot pairs assume, so every kind
+    # runs at it except pe_gaussian_noise, which keeps "end" (u_{k+1} drives
+    # the step): the fitted B then misses the white noise's effect and the
+    # fits come out unstable, the sweep's only unstable fits, which the
+    # repair and its tests need.
+    timing = "end" if spec.kind == "pe_gaussian_noise" else "start"
+    return simulate_continuous(plant, u, None, dt, timing)

@@ -14,10 +14,13 @@ part of the data misfit ||Z [x0; u0] - [x1; y0]||^2 of Z = [A B; C D], with
 B re-solved in closed form, B = (x1 - A x0) pinv(u0); C and D stay as
 fitted.  Since rho(A) <= ||S A S^-1||_2 for every invertible S, the bound
 certifies rho(A) <= c, and P = S^2 is a Lyapunov matrix: A^T P A <= c^2 P.
-When the pairs fit the model exactly, m(A0) = 0 and the misfit term is
-dropped; identity pairs, x0 = [I 0], u0 = [0 I], x1 = [A B] and
-y0 = [C D], also give S = I, so the repair is the SVD clip of A0 at c: the
-closest stable model.
+When the pairs fit the model exactly, m(A0) is rounding noise, at most
+(n eps)^2 times the energy of the target with n the larger dimension of
+the data; it then counts as 0, the misfit term is dropped, and the report's
+misfit ratio is 1 for an unchanged fit and infinite otherwise.  Identity
+pairs, x0 = [I 0], u0 = [0 I], x1 = [A B] and y0 = [C D], fit exactly and
+also give S = I, so the repair is the SVD clip of A0 at c: the closest
+stable model.
 
 The solve is over-relaxed ADMM (Boyd et al., Distributed Optimization and
 Statistical Learning via the Alternating Direction Method of Multipliers,
@@ -181,6 +184,13 @@ def _modulus_clip_shift(a: np.ndarray, target: float) -> np.ndarray | None:
     return q @ t_new @ q.T - a
 
 
+def _is_rounding(misfit: float, shape: tuple[int, int], energy: float) -> bool:
+    """Whether a least-squares misfit of data of ``shape`` is rounding noise,
+    and so counts as an exact fit: at most (max(shape) eps)^2 times
+    ``energy``, the squared norm of the fitted target."""
+    return misfit <= (max(shape) * np.finfo(float).eps) ** 2 * energy
+
+
 def _clip(m: np.ndarray, bound: float) -> np.ndarray:
     """The matrix nearest ``m`` with spectral norm at most ``bound``."""
     u, sv, vt = np.linalg.svd(m)
@@ -196,7 +206,8 @@ def _admm(
 
     Minimizes sum_i alpha_i ||(A~ M - T)_i||^2 + beta sum_ij D_ij (A~ - A~0)_ij^2
     over A~ = S A S^-1, where A~0 = S a0 S^-1, M and T are S x0 and S x1
-    with the input rows projected out, alpha_i = s_i^2 / m(a0),
+    with the input rows projected out, alpha_i = s_i^2 / m(a0) (0 when m(a0)
+    is rounding noise),
     beta = gamma / ||a0||_F^2 and D_ij = (s_i / s_j)^2, which turns the
     whitened distance back into ||A - a0||_F^2.
     """
@@ -205,7 +216,8 @@ def _admm(
     d = whiten**-2.0
     y0 = a0 * whiten
     f0 = float(np.sum(s**2 * np.sum((y0 @ m - t) ** 2, axis=1)))
-    alpha = s**2 / f0 if f0 > 0.0 else np.zeros(r)
+    exact = _is_rounding(f0, m.shape, float(np.sum(s**2 * np.sum(t**2, axis=1))))
+    alpha = np.zeros(r) if exact else s**2 / f0
     beta = _DISTANCE_WEIGHT / float(np.sum(a0 * a0))
     # row i of A~ solves a~_i (hess_i + penalty I) = fixed_i + penalty (Y - U)_i
     hess = 2.0 * alpha[:, None, None] * (m @ m.T)
@@ -273,11 +285,16 @@ def stabilize(
     data, target = _stacked_data(pairs)
     f0 = float(np.sum((z0 @ data - target) ** 2))
     f = float(np.sum((z @ data - target) ** 2))
+    energy = float(np.sum(target**2))
+    if _is_rounding(f0, data.shape, energy):
+        ratio = 1.0 if _is_rounding(f, data.shape, energy) else np.inf
+    else:
+        ratio = f / f0
     change = float(np.linalg.norm(z - z0))
     z0_norm = float(np.linalg.norm(z0))
     report = StabilizeReport(
         iterations_total=iterations,
-        final_objective_ratio=f / f0 if f0 > 0.0 else (1.0 if f == 0.0 else np.inf),
+        final_objective_ratio=ratio,
         final_spectral_radius=rho,
         relative_model_change=change / z0_norm if z0_norm > 0.0 else change,
         certificate=float(np.linalg.norm(z[:n, :n] / s[:, None] * s[None, :], 2)),

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from iodmd.excite import ExcitationSpec, generate_excitation, target_input
-from iodmd.harness import EXCITATIONS, ExperimentConfig
-from iodmd.identify import StateSpaceModel
-from iodmd.plant import build_transport_plant
-from iodmd.snapshot import make_pairs
+from iodmd.harness import EXCITATIONS, ExperimentConfig, _score
+from iodmd.identify import StateSpaceModel, fit_reduced_iodmd
+from iodmd.linalg import spectral_radius
+from iodmd.plant import build_transport_plant, simulate_continuous
+from iodmd.pod import pod_sweep
+from iodmd.snapshot import make_pairs, project_pairs
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +140,34 @@ def test_generate_excitation_dispatch(plant):
     # five different input records: no kind falls through to another's branch
     for i, u in enumerate(inputs):
         assert not any(np.array_equal(u, v) for v in inputs[i + 1 :]), kinds[i]
+
+
+@pytest.mark.parametrize(
+    "kind, timing",
+    [("target_input", "start"), ("pe_step", "start"), ("pe_gaussian_noise", "end")],
+)
+def test_each_kind_drives_the_plant_at_its_input_timing(plant, kind, timing):
+    # zero-order hold for the bell and the step, u_{k+1} driving step
+    # k -> k+1 for white noise
+    traj = generate_excitation(plant, ExcitationSpec(kind=kind, seed=2), T=0.2, dt=0.01)
+    run = simulate_continuous(plant, traj.inputs, None, 0.01, timing)
+    assert np.array_equal(traj.states, run.states)
+
+
+def test_noise_driven_at_the_step_end_hides_the_input_from_the_fit():
+    # the pairs pair x_k with u_k; white noise u_{k+1} is independent of
+    # every regressor, so at "end" timing the fitted B misses the input's
+    # effect (|B|_F 0.085 against 0.685 at "start") and the fit is unstable
+    # (rho 1.002 against 0.988), while the "start" fit tracks the bell
+    # (error 2.5e-3 against 0.93)
+    plant = build_transport_plant(speed=1.3, dx=1e-3)
+    bell = generate_excitation(plant, ExcitationSpec(kind="target_input"), T=1.0, dt=1e-3)
+    noise = generate_excitation(plant, ExcitationSpec(kind="pe_gaussian_noise", seed=42), T=1.0, dt=1e-3)
+    held = simulate_continuous(plant, noise.inputs, None, 1e-3, "start")
+    models = {}
+    for timing, traj in (("end", noise), ("start", held)):
+        (basis,) = pod_sweep(traj.states, (1e-1,), mode="absolute")
+        models[timing] = fit_reduced_iodmd(project_pairs(make_pairs(traj), basis.modes), basis)
+    assert spectral_radius(models["start"].a) < 1.0
+    assert _score(models["start"], bell.inputs, bell.outputs) <= 1e-2
+    assert np.linalg.norm(models["end"].b) < 0.2 * np.linalg.norm(models["start"].b)

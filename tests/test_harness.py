@@ -361,12 +361,14 @@ def test_ce_shifted_orders_grow_with_tighter_budgets():
     assert all(a <= b for a, b in zip(orders, orders[1:]))
 
 
-def test_target_errors_fall_then_sit_on_a_floor():
-    # the bell input only excites a low-dimensional slice of the dynamics,
-    # so target errors improve steeply early and then flatten out
+def test_target_errors_keep_falling_with_the_budget():
+    # the bell trains at zero-order hold, the data equation of the snapshot
+    # pairs, so target errors keep falling with pe_step's to about 2e-11; when
+    # it trained with u_{k+1} driving step k -> k+1 they sat on a floor of
+    # 1.3e-7 from budget 1e-5 on, set by the timing mismatch
     cfg = ExperimentConfig(excitations=("target",))
     rows = run_experiment(cfg)
     errs = [r.rel_output_error for r in rows]
     assert all(b <= a * 1.001 for a, b in zip(errs, errs[1:]))
     assert errs[-1] <= 0.01 * errs[0]
-    assert errs[-1] >= 0.5 * errs[-3]
+    assert errs[-1] <= 0.05 * errs[-3]

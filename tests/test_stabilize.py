@@ -106,6 +106,25 @@ def test_scalar_data_fit_with_exact_data():
     assert np.isinf(report.final_objective_ratio)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_noise_free_fit_is_repaired_as_an_exact_fit(seed):
+    # exact data leave a misfit of rounding noise, not 0; counted as 0, it
+    # drops out as for identity pairs instead of swamping the ADMM penalty
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 4))
+    a *= 1.2 / spectral_radius(a)
+    b, c = rng.standard_normal((4, 2)), rng.standard_normal((1, 4))
+    x0, u0 = rng.standard_normal((4, 30)), rng.standard_normal((2, 30))
+    pairs = SnapshotPairs(x0=x0, x1=a @ x0 + b @ u0, u0=u0, y0=c @ x0)
+    model = fit_iodmd(pairs)
+    assert 0.0 < data_misfit(model, pairs)
+    _, report = stabilize(model, pairs)
+    _, closest = stabilize(model, closest_model_pairs(model))
+    assert report.primal_residual < 1e-10
+    assert np.isinf(report.final_objective_ratio)
+    assert report.final_objective_ratio == closest.final_objective_ratio
+
+
 def test_tau_moves_the_boundary():
     model = scalar_model(1.2)
     out, report = stabilize(model, closest_model_pairs(model), tau=0.25)
