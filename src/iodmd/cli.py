@@ -116,43 +116,45 @@ _OUT_FILE = _arg_type(_file_in_existing_directory)
 _OUT_DIR = _arg_type(_directory_to_create)
 
 
+# `run` option -> ExperimentConfig field; an option left unset is not
+# passed, so the sweep defaults live in ExperimentConfig alone
+_RUN_FIELDS = {"excitations": "excitations", "budgets": "projection_budgets",
+               "reg_eps": "regularization_eps", "stabilize": "stabilize", "seed": "seed"}
+
+
 def _add_run(subparsers) -> None:
     p = subparsers.add_parser(
-        "run", help="sweep the transport benchmark and write CSV tables"
+        "run",
+        help="sweep the transport benchmark and write CSV tables",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument(
         "--excitations",
         type=_EXCITATIONS,
-        default=",".join(EXCITATIONS),
         help=f"comma list from {{{','.join(EXCITATIONS)}}} (default: all)",
     )
     p.add_argument(
         "--budgets",
         type=_BUDGETS,
-        default="1e-1..1e-8",
         help="comma list or decade range of projection-error budgets",
     )
     p.add_argument(
         "--reg-eps",
         type=_REG_EPS,
-        default=0.0,
         help="absolute singular-value cutoff of the identification solve",
     )
     p.add_argument(
         "--stabilize", action="store_true", help="repair unstable fitted models"
     )
-    p.add_argument("--seed", type=_SEED, default=42)
+    p.add_argument("--seed", type=_SEED)
     p.add_argument("--out", type=_OUT_DIR, required=True, help="directory for the CSV tables")
     p.set_defaults(func=_cmd_run)
 
 
 def _cmd_run(args) -> int:
+    given = vars(args)
     cfg = ExperimentConfig(
-        excitations=args.excitations,
-        projection_budgets=args.budgets,
-        regularization_eps=args.reg_eps,
-        stabilize=args.stabilize,
-        seed=args.seed,
+        **{field: given[opt] for opt, field in _RUN_FIELDS.items() if opt in given}
     )
     rows = run_experiment(cfg)
     emit_tables(rows, args.out)
@@ -229,18 +231,8 @@ def _add_stabilize(subparsers) -> None:
 
 def _cmd_stabilize(args) -> int:
     model = _read(load_model_json, args.model)
-    if model.time_domain != "discrete":
-        raise SystemExit(
-            f"{args.model} holds a {model.time_domain}-time model; "
-            "stabilization repairs discrete-time models"
-        )
     traj = _read(load_trajectory_csv, args.data)
     pairs = make_pairs(traj)
-    if (pairs.n_inputs, pairs.n_outputs) != (model.n_inputs, model.n_outputs):
-        raise SystemExit(
-            f"{args.model} has {model.n_inputs} inputs and {model.n_outputs} "
-            f"outputs, but {args.data} has {pairs.n_inputs} and {pairs.n_outputs}"
-        )
     if pairs.n_states != model.order:
         # full-order data for a reduced model: compress the states with the
         # basis the fit used, which the model file carries
@@ -258,6 +250,9 @@ def _cmd_stabilize(args) -> int:
         pairs = project_pairs(pairs, model.basis)
     try:
         repaired, report = stabilize(model, pairs, args.tau)
+    except ValueError as exc:
+        # the repair's own input checks: time domain and block sizes
+        raise SystemExit(f"cannot use {args.model} with {args.data}: {exc}") from None
     except NotStabilizedError as exc:
         print(f"stabilization failed: {exc}", file=sys.stderr)
         return 2

@@ -28,14 +28,11 @@ class SvdResult:
 
     ``left_vectors`` is N x r, ``right_vectors`` is K x r, and
     ``singular_values`` holds the r retained values in nonincreasing order.
-    ``discarded_count`` counts the singular values cut, by the threshold or
-    by the machine-rank floor.
     """
 
     left_vectors: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
-    discarded_count: int
 
     @property
     def rank(self) -> int:
@@ -101,8 +98,14 @@ def truncated_svd(m, eps: float) -> SvdResult:
         left_vectors=u[:, :keep],
         singular_values=s[:keep],
         right_vectors=vt[:keep].T,
-        discarded_count=s.size - keep,
     )
+
+
+def _rounding_floor(dim_max: int, scale: float) -> float:
+    """``dim_max * eps_mach * scale``: the size below which a quantity
+    computed from data of largest dimension ``dim_max`` and magnitude
+    ``scale`` is rounding noise."""
+    return dim_max * np.finfo(float).eps * scale
 
 
 def machine_rank(singular_values: np.ndarray, dim_max: int) -> int:
@@ -115,8 +118,7 @@ def machine_rank(singular_values: np.ndarray, dim_max: int) -> int:
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    floor = dim_max * np.finfo(float).eps * s[0]
-    return int(np.count_nonzero(s > floor))
+    return int(np.count_nonzero(s > _rounding_floor(dim_max, s[0])))
 
 
 def pinv_apply(m, eps: float, rhs) -> tuple[np.ndarray, int]:

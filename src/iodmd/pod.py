@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_real_matrix, machine_rank, truncated_svd
+from .linalg import _as_real_matrix, _rounding_floor, machine_rank, truncated_svd
 
 __all__ = ["PodBasis", "pod_basis", "pod_sweep"]
 
@@ -119,7 +119,7 @@ def _range_finder_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b = y.T @ residual
         if floor is None:
             # the first block captures the dominant direction of X
-            floor = max(m, n) * np.finfo(float).eps * np.linalg.norm(b, 2)
+            floor = _rounding_floor(max(m, n), np.linalg.norm(b, 2))
         # y @ b in one piece would be a second array the size of X
         for start in range(0, m, _BLOCK):
             rows = slice(start, start + _BLOCK)
@@ -143,8 +143,9 @@ def pod_basis(x, error_budget: float, mode: str = "relative") -> PodBasis:
     ``mode='absolute'`` uses it as-is. At least one mode is always retained.
 
     The modes are the leading left singular vectors of the dense LAPACK SVD
-    (``np.linalg.svd``), column signs included, so anyone holding ``x`` can
-    rebuild the basis a model from ``iodmd identify`` was fit on.
+    (``np.linalg.svd``). Their column signs hold only at a fixed BLAS build
+    and thread count, which is why a model from ``iodmd identify`` stores
+    the basis it was fit on.
     """
     return _bases(x, [error_budget], mode, _dense_svd)[0]
 

@@ -40,8 +40,8 @@ import numpy as np
 import scipy.linalg
 
 from .identify import StateSpaceModel, _split_blocks, _stacked_data
-from .linalg import spectral_radius, truncated_svd
-# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 1 removes it)
+from .linalg import _rounding_floor, pinv_apply, spectral_radius, truncated_svd
+# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 2 removes it)
 from .linalg import spectral_radius_gradient  # noqa: F401
 from .snapshot import SnapshotPairs
 
@@ -127,7 +127,7 @@ def _check_inputs(model: StateSpaceModel, pairs: SnapshotPairs) -> None:
         raise ValueError("snapshot pairs contain non-finite entries")
 
 
-# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 1 removes it)
+# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 2 removes it)
 def _tied_modulus_gradients(
     a: np.ndarray, rho: float, window: float
 ) -> list[np.ndarray] | None:
@@ -155,7 +155,7 @@ def _tied_modulus_gradients(
     return grads or None
 
 
-# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 1 removes it)
+# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 2 removes it)
 def _modulus_clip_shift(a: np.ndarray, target: float) -> np.ndarray | None:
     """Shift of A that contracts every eigenvalue modulus above target onto it.
 
@@ -188,7 +188,7 @@ def _is_rounding(misfit: float, shape: tuple[int, int], energy: float) -> bool:
     """Whether a least-squares misfit of data of ``shape`` is rounding noise,
     and so counts as an exact fit: at most (max(shape) eps)^2 times
     ``energy``, the squared norm of the fitted target."""
-    return misfit <= (max(shape) * np.finfo(float).eps) ** 2 * energy
+    return misfit <= _rounding_floor(max(shape), 1.0) ** 2 * energy
 
 
 def _clip(m: np.ndarray, bound: float) -> np.ndarray:
@@ -263,10 +263,8 @@ def stabilize(
     if rho < boundary:
         z, iterations, primal_res, dual_res = z0, 0, 0.0, 0.0
     else:
-        # x P with P the projector onto the complement of u0's row space,
-        # and B = (x1 - A x0) pinv(u0), from one SVD of u0
-        u0 = truncated_svd(pairs.u0, 0.0)
-        v = u0.right_vectors
+        # x P with P the projector onto the complement of u0's row space
+        v = truncated_svd(pairs.u0, 0.0).right_vectors
 
         def drop_inputs(x: np.ndarray) -> np.ndarray:
             return x - (x @ v) @ v.T
@@ -275,10 +273,9 @@ def stabilize(
         t = drop_inputs(pairs.x1 / s[:, None])
         bound = boundary * (1.0 - _CERTIFICATE_MARGIN) * (1.0 - _ROUNDING_ROOM)
         a, primal_res, dual_res = _admm(model.a, m, t, s, bound)
-        resid = pairs.x1 - a @ pairs.x0
         z = z0.copy()
         z[:n, :n] = a
-        z[:n, n:] = (resid @ v) / u0.singular_values @ u0.left_vectors.T
+        z[:n, n:], _ = pinv_apply(pairs.u0, 0.0, pairs.x1 - a @ pairs.x0)
         iterations = _ITERATIONS
         rho = spectral_radius(a)
 

@@ -8,6 +8,7 @@ import pytest
 from iodmd import cli
 from iodmd.cli import main, parse_budgets
 from iodmd.excite import ExcitationSpec, generate_excitation
+from iodmd.harness import ExperimentConfig, ExperimentRow
 from iodmd.identify import StateSpaceModel, load_model_json, save_model_json
 from iodmd.linalg import spectral_radius
 from iodmd.plant import build_transport_plant
@@ -76,6 +77,18 @@ def test_run_failing_cell_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "1 failed" in capsys.readouterr().out
+
+
+def test_run_leaves_unset_options_to_the_config(tmp_path, monkeypatch):
+    configs = []
+
+    def fake_run(cfg):
+        configs.append(cfg)
+        return [ExperimentRow("target", 1e-1)]
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    assert main(["run", "--out", str(tmp_path)]) == 0
+    assert configs == [ExperimentConfig()]
 
 
 def write_noise_trajectory(path):
@@ -345,8 +358,10 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
     traj.outputs[0, 4] = np.inf
     save_trajectory_csv(traj, inf_output)
     one_input, nan_model = tmp_path / "model.json", tmp_path / "nan.json"
+    two_outputs = tmp_path / "two_outputs.json"
     a = 1.1 * np.eye(3)
     save_model_json(StateSpaceModel(a=a, b=np.ones((3, 1)), c=np.ones((1, 3))), one_input)
+    save_model_json(StateSpaceModel(a=a, b=np.ones((3, 2)), c=np.ones((2, 3))), two_outputs)
     a[2, 1] = np.nan
     save_model_json(StateSpaceModel(a=a, b=np.ones((3, 2)), c=np.ones((1, 3))), nan_model)
     # malformed model files: a missing key, a fractional order, a list
@@ -389,7 +404,13 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
         (["stabilize", "--model", str(missing), "--data", str(data)], str(missing)),
         (
             ["stabilize", "--model", str(one_input), "--data", str(data)],
-            "has 1 inputs and 1 outputs, but",
+            f"cannot use {one_input} with {data}: snapshot pairs have "
+            "(states, inputs, outputs) = (3, 2, 1), the model has (3, 1, 1)",
+        ),
+        (
+            ["stabilize", "--model", str(two_outputs), "--data", str(data)],
+            f"cannot use {two_outputs} with {data}: snapshot pairs have "
+            "(states, inputs, outputs) = (3, 2, 1), the model has (3, 2, 2)",
         ),
         # non-finite values: the loaders name the first one
         (
@@ -418,7 +439,8 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
         ),
         (
             ["stabilize", "--model", str(continuous), "--data", str(data)],
-            f"{continuous} holds a continuous-time model",
+            f"cannot use {continuous} with {data}: "
+            "stabilization operates on discrete-time models",
         ),
         (
             ["stabilize", "--model", str(wide_basis), "--data", str(data)],
