@@ -233,21 +233,21 @@ def _cmd_stabilize(args) -> int:
     model = _read(load_model_json, args.model)
     traj = _read(load_trajectory_csv, args.data)
     pairs = make_pairs(traj)
-    if pairs.n_states != model.order:
-        # full-order data for a reduced model: compress the states with the
-        # basis the fit used, which the model file carries
-        if model.basis is None:
-            raise SystemExit(
-                f"{args.model} has order {model.order} and stores no basis, so "
-                f"the {pairs.n_states}-state data in {args.data} cannot be "
-                "projected onto it"
-            )
+    # the stored basis decides: the data are the full-order states the fit
+    # was made from, compressed with the basis the fit used
+    if model.basis is not None:
         if model.basis.shape[0] != pairs.n_states:
             raise SystemExit(
                 f"the basis in {args.model} has {model.basis.shape[0]} rows, "
                 f"but {args.data} has {pairs.n_states} states"
             )
         pairs = project_pairs(pairs, model.basis)
+    elif pairs.n_states != model.order:
+        raise SystemExit(
+            f"{args.model} has order {model.order} and stores no basis, so "
+            f"the {pairs.n_states}-state data in {args.data} cannot be "
+            "projected onto it"
+        )
     try:
         repaired, report = stabilize(model, pairs, args.tau)
     except ValueError as exc:

@@ -13,7 +13,7 @@ One solve over snapshot pairs, in two forms:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,10 +92,7 @@ class StateSpaceModel:
     def blocks(self) -> np.ndarray:
         """The stacked operator [A B; C D] of shape (r+Q) x (r+M)."""
         _require_dense_a(self, "blocks()")
-        top = np.hstack([self.a, self.b])
-        if self.n_outputs == 0:
-            return top
-        return np.vstack([top, np.hstack([self.c, self.d])])
+        return np.vstack([np.hstack([self.a, self.b]), np.hstack([self.c, self.d])])
 
 
 def _require_dense_a(model: StateSpaceModel, needs: str) -> None:
@@ -109,26 +106,6 @@ def _stacked_data(pairs: SnapshotPairs) -> tuple[np.ndarray, np.ndarray]:
     return data, target
 
 
-def _split_blocks(
-    g: np.ndarray,
-    n: int,
-    step_width: float,
-    basis: np.ndarray | None = None,
-    underdetermined: bool = False,
-) -> StateSpaceModel:
-    """The discrete model whose stacked operator [A B; C D] is ``g``, with A
-    of order ``n``."""
-    return StateSpaceModel(
-        a=g[:n, :n],
-        b=g[:n, n:],
-        c=g[n:, :n],
-        d=g[n:, n:],
-        step_width=step_width,
-        basis=basis,
-        underdetermined=underdetermined,
-    )
-
-
 def fit_iodmd(pairs: SnapshotPairs, eps: float = 0.0) -> StateSpaceModel:
     """All four blocks from one solve: [A B; C D] = [x1; y0] @ pinv([x0; u0]).
 
@@ -139,8 +116,14 @@ def fit_iodmd(pairs: SnapshotPairs, eps: float = 0.0) -> StateSpaceModel:
     """
     data, target = _stacked_data(pairs)
     g, rank = pinv_apply(data, eps, target)
-    return _split_blocks(
-        g, pairs.n_states, pairs.step_width, underdetermined=rank < data.shape[0]
+    n = pairs.n_states
+    return StateSpaceModel(
+        a=g[:n, :n],
+        b=g[:n, n:],
+        c=g[n:, :n],
+        d=g[n:, n:],
+        step_width=pairs.step_width,
+        underdetermined=rank < data.shape[0],
     )
 
 
@@ -160,9 +143,7 @@ def fit_reduced_iodmd(
     gram_defect = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
     if gram_defect > max(1e-8, 1e-12 * q.shape[0]):
         raise ValueError(f"basis columns not orthonormal (defect {gram_defect:.2e})")
-    model = fit_iodmd(pairs, eps)
-    model.basis = q
-    return model
+    return replace(fit_iodmd(pairs, eps), basis=q)
 
 
 def save_model_json(model: StateSpaceModel, path) -> None:

@@ -10,7 +10,7 @@ column k of ``x0``. Outputs are aligned with the data equation
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,13 +114,7 @@ def make_pairs(traj: TrajectoryData) -> SnapshotPairs:
 def project_pairs(pairs: SnapshotPairs, q: np.ndarray) -> SnapshotPairs:
     """Compress the state rows of ``pairs`` through a projection ``q`` (N x n)."""
     q = _as_real_matrix(q, "projection", rows=pairs.n_states)
-    return SnapshotPairs(
-        x0=q.T @ pairs.x0,
-        x1=q.T @ pairs.x1,
-        u0=pairs.u0,
-        y0=pairs.y0,
-        step_width=pairs.step_width,
-    )
+    return replace(pairs, x0=q.T @ pairs.x0, x1=q.T @ pairs.x1)
 
 
 # One row per sample: t, x1..xN, u1..uM, y1..yQ, full double precision.

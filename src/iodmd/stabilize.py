@@ -34,12 +34,12 @@ the input: rounding-level changes of the fit move the repair by as little.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .identify import StateSpaceModel, _split_blocks, _stacked_data
+from .identify import StateSpaceModel, _stacked_data
 from .linalg import _rounding_floor, pinv_apply, spectral_radius, truncated_svd
 # no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 2 removes it)
 from .linalg import spectral_radius_gradient  # noqa: F401
@@ -246,22 +246,22 @@ def stabilize(
 
     The repair stays close to ``pairs`` in the least-squares sense and to
     the model itself; with the identity pairs of the module docstring it is
-    the closest A with ||A||_2 <= c.  Returns the repaired
-    model and a report; a model already inside the disk comes back
-    unchanged.  A repaired model whose spectral radius is not below
-    1 - tau raises NotStabilizedError with the model attached.
+    the closest A with ||A||_2 <= c.  Returns the repaired model and a
+    report.  The repaired model is ``model`` with a new A and a re-solved
+    B: C, D, the basis, the step width and the ``underdetermined`` flag are
+    the fit's.  A model already inside the disk is returned as is.  A
+    repaired model whose spectral radius is not below 1 - tau raises
+    NotStabilizedError with the model attached.
     """
     tau = check_tau(tau)
     _check_inputs(model, pairs)
 
     boundary = 1.0 - tau
-    n = model.order
-    z0 = model.blocks()
     s = np.linalg.norm(pairs.x0, axis=1)
     s[s == 0.0] = 1.0
     rho = spectral_radius(model.a)
     if rho < boundary:
-        z, iterations, primal_res, dual_res = z0, 0, 0.0, 0.0
+        repaired, iterations, primal_res, dual_res = model, 0, 0.0, 0.0
     else:
         # x P with P the projector onto the complement of u0's row space
         v = truncated_svd(pairs.u0, 0.0).right_vectors
@@ -273,13 +273,13 @@ def stabilize(
         t = drop_inputs(pairs.x1 / s[:, None])
         bound = boundary * (1.0 - _CERTIFICATE_MARGIN) * (1.0 - _ROUNDING_ROOM)
         a, primal_res, dual_res = _admm(model.a, m, t, s, bound)
-        z = z0.copy()
-        z[:n, :n] = a
-        z[:n, n:], _ = pinv_apply(pairs.u0, 0.0, pairs.x1 - a @ pairs.x0)
+        b, _ = pinv_apply(pairs.u0, 0.0, pairs.x1 - a @ pairs.x0)
+        repaired = replace(model, a=a, b=b)
         iterations = _ITERATIONS
         rho = spectral_radius(a)
 
     data, target = _stacked_data(pairs)
+    z0, z = model.blocks(), repaired.blocks()
     f0 = float(np.sum((z0 @ data - target) ** 2))
     f = float(np.sum((z @ data - target) ** 2))
     energy = float(np.sum(target**2))
@@ -294,11 +294,10 @@ def stabilize(
         final_objective_ratio=ratio,
         final_spectral_radius=rho,
         relative_model_change=change / z0_norm if z0_norm > 0.0 else change,
-        certificate=float(np.linalg.norm(z[:n, :n] / s[:, None] * s[None, :], 2)),
+        certificate=float(np.linalg.norm(repaired.a / s[:, None] * s[None, :], 2)),
         primal_residual=primal_res,
         dual_residual=dual_res,
     )
-    repaired = _split_blocks(z, n, model.step_width, model.basis)
     if not rho < boundary:
         raise NotStabilizedError(
             f"repaired spectral radius {rho:.6g} is not below {boundary} "

@@ -91,15 +91,18 @@ def test_run_leaves_unset_options_to_the_config(tmp_path, monkeypatch):
     assert configs == [ExperimentConfig()]
 
 
-def write_noise_trajectory(path):
-    plant = build_transport_plant(1.3, 1e-2)
+def write_noise_trajectory(path, dx=1e-2):
+    plant = build_transport_plant(1.3, dx)
     traj = generate_excitation(plant, ExcitationSpec(kind="pe_gaussian_noise", seed=7), 1.0, 1e-2)
     save_trajectory_csv(traj, path)
 
 
-def test_identify_then_stabilize_roundtrip(tmp_path, capsys):
+# a 100-cell plant reduced at relative budget 1e-6, and a 3-cell plant kept
+# whole at budget 0: a basis of order 3 that keeps every state
+@pytest.mark.parametrize("dx, budget", [(1e-2, "1e-6"), (1 / 3, "0")], ids=["reduced", "full_order"])
+def test_identify_then_stabilize_roundtrip(tmp_path, capsys, dx, budget):
     data = tmp_path / "traj.csv"
-    write_noise_trajectory(data)
+    write_noise_trajectory(data, dx)
     model_path = tmp_path / "model.json"
     code = main(
         [
@@ -107,7 +110,7 @@ def test_identify_then_stabilize_roundtrip(tmp_path, capsys):
             "--data",
             str(data),
             "--budget",
-            "1e-6",
+            budget,
             "--out",
             str(model_path),
         ]
@@ -138,7 +141,7 @@ def test_identify_then_stabilize_roundtrip(tmp_path, capsys):
     # the model file carries the basis the fit used, and the CLI repair is
     # the library repair of the data projected onto it, bit for bit
     traj = load_trajectory_csv(data)
-    expected_basis = pod_basis(traj.states, 1e-6).modes
+    expected_basis = pod_basis(traj.states, float(budget)).modes
     assert np.array_equal(model.basis.view(np.uint64), expected_basis.view(np.uint64))
     expected, _ = stabilize(model, project_pairs(make_pairs(traj), model.basis))
     assert np.array_equal(repaired.blocks().view(np.uint64), expected.blocks().view(np.uint64))
@@ -391,6 +394,14 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
         ),
         wide_basis,
     )
+    # a basis-carrying model of the data's order: the data must be full order
+    reduced_basis = tmp_path / "reduced.json"
+    save_model_json(
+        StateSpaceModel(
+            a=np.eye(3), b=np.ones((3, 2)), c=np.ones((1, 3)), basis=np.eye(5)[:, :3]
+        ),
+        reduced_basis,
+    )
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(data.read_text().splitlines()[0] + "\n")
     no_state = tmp_path / "no_state.csv"
@@ -445,6 +456,10 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
         (
             ["stabilize", "--model", str(wide_basis), "--data", str(data)],
             f"the basis in {wide_basis} has 5 rows, but {data} has 3 states",
+        ),
+        (
+            ["stabilize", "--model", str(reduced_basis), "--data", str(data)],
+            f"the basis in {reduced_basis} has 5 rows, but {data} has 3 states",
         ),
         (
             ["identify", "--data", str(header_only), "--budget", "1e-1"],

@@ -84,6 +84,20 @@ def test_already_stable_model_is_returned_unchanged():
     assert report.relative_model_change == 0.0
     assert report.primal_residual == report.dual_residual == 0.0
 
+    # a 5-state fit from 3 pairs is underdetermined; with a basis attached,
+    # the stable fit and its repair both keep the flag and the basis
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, 4))
+    pairs = SnapshotPairs(x0=x[:, :-1], x1=x[:, 1:])
+    basis = np.eye(7)[:, :5]
+    fit = replace(fit_iodmd(pairs), basis=basis)
+    assert fit.underdetermined and spectral_radius(fit.a) < 1.0
+    unstable = replace(fit, a=fit.a * (1.5 / spectral_radius(fit.a)))
+    for model, pairs in ((fit, pairs), (unstable, closest_model_pairs(unstable))):
+        out, _ = stabilize(model, pairs)
+        assert out.underdetermined
+        assert np.array_equal(out.basis, basis)
+
 
 def test_scalar_model_fit_reaches_the_boundary_from_above():
     # constrained optimum of (a - 1.05)^2 over |a| < 1 sits at a -> 1 from below
