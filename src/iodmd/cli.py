@@ -16,8 +16,10 @@ import math
 import pathlib
 import re
 import sys
+from dataclasses import fields
 
-from .harness import EXCITATIONS, ExperimentConfig, emit_tables, run_experiment
+from .excite import EXCITATIONS
+from .harness import ExperimentConfig, emit_tables, run_experiment
 from .identify import fit_reduced_iodmd, load_model_json, save_model_json
 from .linalg import spectral_radius
 from .linalg import truncated_svd  # noqa: F401 - bench/tracing.py patches this name
@@ -76,22 +78,10 @@ def _arg_type(parse):
     return convert
 
 
-# option values checked by the library's own validation
-_REG_EPS = _arg_type(
-    lambda text: ExperimentConfig(regularization_eps=float(text)).regularization_eps
-)
-_TAU = _arg_type(check_tau)
-_EXCITATIONS = _arg_type(
-    lambda text: ExperimentConfig(
-        excitations=tuple(t.strip() for t in text.split(",") if t.strip())
-    ).excitations
-)
-_SEED = _arg_type(lambda text: ExperimentConfig(seed=int(text)).seed)
-_BUDGETS = _arg_type(
-    lambda text: ExperimentConfig(
-        projection_budgets=parse_budgets(text)
-    ).projection_budgets
-)
+def _config_field(field: str, parse):
+    """argparse type for the ExperimentConfig field ``field``: ``parse``
+    reads the text and the config's own rule checks the value."""
+    return _arg_type(lambda text: getattr(ExperimentConfig(**{field: parse(text)}), field))
 
 
 def _file_in_existing_directory(text: str) -> str:
@@ -116,12 +106,6 @@ _OUT_FILE = _arg_type(_file_in_existing_directory)
 _OUT_DIR = _arg_type(_directory_to_create)
 
 
-# `run` option -> ExperimentConfig field; an option left unset is not
-# passed, so the sweep defaults live in ExperimentConfig alone
-_RUN_FIELDS = {"excitations": "excitations", "budgets": "projection_budgets",
-               "reg_eps": "regularization_eps", "stabilize": "stabilize", "seed": "seed"}
-
-
 def _add_run(subparsers) -> None:
     p = subparsers.add_parser(
         "run",
@@ -130,31 +114,39 @@ def _add_run(subparsers) -> None:
     )
     p.add_argument(
         "--excitations",
-        type=_EXCITATIONS,
+        type=_config_field(
+            "excitations", lambda text: tuple(t.strip() for t in text.split(",") if t.strip())
+        ),
         help=f"comma list from {{{','.join(EXCITATIONS)}}} (default: all)",
     )
     p.add_argument(
         "--budgets",
-        type=_BUDGETS,
+        dest="projection_budgets",
+        metavar="BUDGETS",
+        type=_config_field("projection_budgets", parse_budgets),
         help="comma list or decade range of projection-error budgets",
     )
     p.add_argument(
         "--reg-eps",
-        type=_REG_EPS,
+        dest="regularization_eps",
+        metavar="REG_EPS",
+        type=_config_field("regularization_eps", float),
         help="absolute singular-value cutoff of the identification solve",
     )
     p.add_argument(
         "--stabilize", action="store_true", help="repair unstable fitted models"
     )
-    p.add_argument("--seed", type=_SEED)
+    p.add_argument("--seed", type=_config_field("seed", int))
     p.add_argument("--out", type=_OUT_DIR, required=True, help="directory for the CSV tables")
     p.set_defaults(func=_cmd_run)
 
 
 def _cmd_run(args) -> int:
+    # each option stores its config field, and an option left unset is not
+    # in args, so the sweep defaults live in ExperimentConfig alone
     given = vars(args)
     cfg = ExperimentConfig(
-        **{field: given[opt] for opt, field in _RUN_FIELDS.items() if opt in given}
+        **{f.name: given[f.name] for f in fields(ExperimentConfig) if f.name in given}
     )
     rows = run_experiment(cfg)
     emit_tables(rows, args.out)
@@ -187,7 +179,7 @@ def _add_identify(subparsers) -> None:
         default="relative",
         help="interpret the budget relative to the snapshot norm or as-is",
     )
-    p.add_argument("--reg-eps", type=_REG_EPS, default=0.0)
+    p.add_argument("--reg-eps", type=_config_field("regularization_eps", float), default=0.0)
     p.add_argument("--out", type=_OUT_FILE, required=True, help="path of the model JSON")
     p.set_defaults(func=_cmd_identify)
 
@@ -225,7 +217,7 @@ def _add_stabilize(subparsers) -> None:
     p.add_argument("--model", required=True, help="model JSON to repair")
     p.add_argument("--data", required=True, help="trajectory CSV the model was fit from")
     p.add_argument("--out", type=_OUT_FILE, required=True, help="path of the repaired model JSON")
-    p.add_argument("--tau", type=_TAU, default=0.0, help="stability margin in [0,1)")
+    p.add_argument("--tau", type=_arg_type(check_tau), default=0.0, help="stability margin in [0,1)")
     p.set_defaults(func=_cmd_stabilize)
 
 

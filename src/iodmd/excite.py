@@ -31,12 +31,20 @@ from .plant import simulate_continuous
 from .snapshot import TrajectoryData
 
 __all__ = [
+    "EXCITATIONS",
     "ExcitationSpec",
     "target_input",
     "generate_excitation",
 ]
 
-_KINDS = ("pe_gaussian_noise", "pe_step", "ce_gaussian_init", "ce_shifted_init", "target_input")
+# Row tag -> excitation kind; insertion order fixes the CSV column order.
+EXCITATIONS = {
+    "target": "target_input",
+    "pe_noise": "pe_gaussian_noise",
+    "pe_step": "pe_step",
+    "ce_random": "ce_gaussian_init",
+    "ce_shifted": "ce_shifted_init",
+}
 
 
 @dataclass
@@ -47,7 +55,7 @@ class ExcitationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in EXCITATIONS.values():
             raise ValueError(f"unknown excitation kind {self.kind!r}")
         # numpy's generators take only nonnegative integers, and would say
         # so only once the signal is drawn
@@ -114,11 +122,5 @@ def generate_excitation(
     else:
         times = np.arange(steps + 1) * dt
         u = np.tile(target_input(times), (plant.n_inputs, 1))
-    # Zero-order hold ("start": u_k drives step k -> k+1) is the data equation
-    # x_{k+1} = A x_k + B u_k that the snapshot pairs assume, so every kind
-    # runs at it except pe_gaussian_noise, which keeps "end" (u_{k+1} drives
-    # the step): the fitted B then misses the white noise's effect and the
-    # fits come out unstable, the sweep's only unstable fits, which the
-    # repair and its tests need.
     timing = "end" if spec.kind == "pe_gaussian_noise" else "start"
     return simulate_continuous(plant, u, None, dt, timing)

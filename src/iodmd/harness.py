@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .excite import ExcitationSpec, generate_excitation
+from .excite import EXCITATIONS, ExcitationSpec, generate_excitation
 from .identify import StateSpaceModel, fit_reduced_iodmd
 from .linalg import spectral_radius
 from .plant import build_transport_plant, relative_output_error, simulate_discrete
@@ -28,21 +28,11 @@ from .snapshot import SnapshotPairs, make_pairs, project_pairs
 from .stabilize import NotStabilizedError, stabilize
 
 __all__ = [
-    "EXCITATIONS",
     "ExperimentConfig",
     "ExperimentRow",
     "run_experiment",
     "emit_tables",
 ]
-
-# Row tag -> excitation kind; insertion order fixes the CSV column order.
-EXCITATIONS = {
-    "target": "target_input",
-    "pe_noise": "pe_gaussian_noise",
-    "pe_step": "pe_step",
-    "ce_random": "ce_gaussian_init",
-    "ce_shifted": "ce_shifted_init",
-}
 
 _DEFAULT_BUDGETS = tuple(10.0**-k for k in range(1, 9))
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .identify import StateSpaceModel, _stacked_data
+from .identify import StateSpaceModel, _require_dense_a, _stacked_data
 from .linalg import _rounding_floor, pinv_apply, spectral_radius, truncated_svd
 # no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 2 removes it)
 from .linalg import spectral_radius_gradient  # noqa: F401
@@ -121,7 +121,8 @@ def _check_inputs(model: StateSpaceModel, pairs: SnapshotPairs) -> None:
             f"snapshot pairs have (states, inputs, outputs) = {data_dims}, "
             f"the model has {dims}"
         )
-    if not all(np.all(np.isfinite(m)) for m in (model.a, model.b, model.c, model.d)):
+    _require_dense_a(model, "stabilize")
+    if not np.all(np.isfinite(model.blocks())):
         raise ValueError("model blocks contain non-finite entries")
     if not all(np.all(np.isfinite(m)) for m in (pairs.x0, pairs.x1, pairs.u0, pairs.y0)):
         raise ValueError("snapshot pairs contain non-finite entries")

@@ -79,7 +79,26 @@ def test_run_failing_cell_exit_code(tmp_path, capsys):
     assert "1 failed" in capsys.readouterr().out
 
 
-def test_run_leaves_unset_options_to_the_config(tmp_path, monkeypatch):
+# no option set, then every option set: each reaches its config field
+@pytest.mark.parametrize(
+    "options, expected",
+    [
+        ([], ExperimentConfig()),
+        (
+            ["--excitations", "pe_step,target", "--budgets", "1e-1..1e-3",
+             "--reg-eps", "1e-5", "--stabilize", "--seed", "7"],
+            ExperimentConfig(
+                excitations=("pe_step", "target"),
+                projection_budgets=(1e-1, 1e-2, 1e-3),
+                regularization_eps=1e-5,
+                stabilize=True,
+                seed=7,
+            ),
+        ),
+    ],
+    ids=["none_set", "all_set"],
+)
+def test_run_leaves_unset_options_to_the_config(tmp_path, monkeypatch, options, expected):
     configs = []
 
     def fake_run(cfg):
@@ -87,8 +106,8 @@ def test_run_leaves_unset_options_to_the_config(tmp_path, monkeypatch):
         return [ExperimentRow("target", 1e-1)]
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
-    assert main(["run", "--out", str(tmp_path)]) == 0
-    assert configs == [ExperimentConfig()]
+    assert main(["run", *options, "--out", str(tmp_path)]) == 0
+    assert configs == [expected]
 
 
 def write_noise_trajectory(path, dx=1e-2):

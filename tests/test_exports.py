@@ -18,3 +18,9 @@ def test_package_reexports_the_union_of_module_all_lists():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == declared
+
+
+def test_namespace_binds_the_names_the_benchmark_reads():
+    # the star imports bind the function stabilize over its module name
+    assert iodmd.stabilize is importlib.import_module("iodmd.stabilize").stabilize
+    assert iodmd.harness.EXCITATIONS is iodmd.excite.EXCITATIONS

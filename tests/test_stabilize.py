@@ -5,6 +5,7 @@ import importlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -214,6 +215,10 @@ def test_input_validation():
     with_inputs = StateSpaceModel(a=[[1.05]], b=[[1.0]])
     with pytest.raises(ValueError, match=r"\(1, 0, 0\), the model has \(1, 1, 0\)"):
         stabilize(with_inputs, autonomous_pairs(1.05))  # pairs carry no inputs
+    sparse_a = StateSpaceModel(a=sparse.csc_array(1.1 * np.eye(2)), b=np.ones((2, 1)))
+    pairs = SnapshotPairs(x0=np.eye(2, 3), x1=1.1 * np.eye(2, 3), u0=np.ones((1, 3)))
+    with pytest.raises(ValueError, match="block A is sparse; stabilize needs a dense A"):
+        stabilize(sparse_a, pairs)
 
 
 @pytest.mark.parametrize("where", ["a", "d", "x1", "y0"])
