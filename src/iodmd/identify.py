@@ -146,10 +146,27 @@ def fit_reduced_iodmd(
     return replace(fit_iodmd(pairs, eps), basis=q)
 
 
+def _require_finite_blocks(blocks: dict[str, np.ndarray], path) -> None:
+    """ValueError naming the first non-finite entry of the model file ``path``."""
+    for name, block in blocks.items():
+        bad = np.argwhere(~np.isfinite(block))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"{path}: block {name} has non-finite entry {float(block[i, j])!r} "
+                f"at ({i}, {j})"
+            )
+
+
 def save_model_json(model: StateSpaceModel, path) -> None:
     """Serialize a model to JSON, basis and ``underdetermined`` flag included;
-    floats round-trip exactly."""
+    floats round-trip exactly. A non-finite entry raises the loader's ValueError
+    before the file is opened, so every file written is standard JSON."""
     _require_dense_a(model, "save_model_json")
+    blocks = {"A": model.a, "B": model.b, "C": model.c, "D": model.d}
+    if model.basis is not None:
+        blocks["basis"] = model.basis
+    _require_finite_blocks(blocks, path)
     doc = {
         "order": model.order,
         "m": model.n_inputs,
@@ -205,14 +222,7 @@ def load_model_json(path) -> StateSpaceModel:
             # tolist() writes a block without rows as a flat []
             block = block.reshape(0, cols)
         blocks[name] = _as_real_matrix(block, f"{path}: block {name}", rows, cols)
-    for name, block in blocks.items():
-        bad = np.argwhere(~np.isfinite(block))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(
-                f"{path}: block {name} has non-finite entry {float(block[i, j])!r} "
-                f"at ({i}, {j})"
-            )
+    _require_finite_blocks(blocks, path)
     return StateSpaceModel(
         a=blocks["A"],
         b=blocks["B"],

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 
 __all__ = [
@@ -168,7 +169,7 @@ def spectral_radius_gradient(a) -> SpectralRadiusGradient:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
 
-    lam, vr = np.linalg.eig(m)
+    lam, vl, vr = scipy.linalg.eig(m, left=True)
     moduli = np.abs(lam)
     rho = float(np.max(moduli))
     if rho == 0.0:
@@ -179,12 +180,7 @@ def spectral_radius_gradient(a) -> SpectralRadiusGradient:
     idx = order[0]
     nonsmooth = len(tied) > 1
 
-    x = vr[:, idx]
-    # Left eigenvector of lam = right eigenvector of A^T for the same value.
-    lam_t, vl = np.linalg.eig(m.T)
-    j = int(np.argmin(np.abs(lam_t - lam[idx])))
-    y = vl[:, j].conj()
-
+    x, y = vr[:, idx], vl[:, idx]
     scale = y.conj() @ x
     if abs(scale) < 1e-14 * np.linalg.norm(y) * np.linalg.norm(x):
         raise np.linalg.LinAlgError(

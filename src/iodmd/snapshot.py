@@ -130,12 +130,26 @@ def _column_names(n: int, m: int, q: int) -> list[str]:
     )
 
 
+def _require_finite_table(data: np.ndarray, names: list[str], path) -> None:
+    """ValueError naming the column and file line of the first non-finite
+    value of ``data``, the rows of the trajectory CSV ``path``."""
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        k, j = bad[0]
+        raise ValueError(
+            f"{path}: non-finite value {float(data[k, j])!r} in column {names[j]} "
+            f"(line {k + 2})"
+        )
+
+
 def save_trajectory_csv(traj: TrajectoryData, path) -> None:
-    """Write a trajectory as CSV with header ``t,x1..xN,u1..uM,y1..yQ``."""
+    """Write a trajectory as CSV with header ``t,x1..xN,u1..uM,y1..yQ``; a
+    non-finite value raises the loader's ValueError before the file is opened."""
     names = _column_names(
         traj.states.shape[0], traj.inputs.shape[0], traj.outputs.shape[0]
     )
     table = np.vstack([traj.times, traj.states, traj.inputs, traj.outputs]).T
+    _require_finite_table(table, names, Path(path))
     np.savetxt(
         Path(path),
         table,
@@ -175,13 +189,7 @@ def load_trajectory_csv(path) -> TrajectoryData:
             f"{path}: rows have {data.shape[1]} values, header {header!r} "
             f"names {len(names)}"
         )
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        k, j = bad[0]
-        raise ValueError(
-            f"{path}: non-finite value {float(data[k, j])!r} in column {names[j]} "
-            f"(line {k + 2})"
-        )
+    _require_finite_table(data, names, path)
     t = data[:, 0]
     step = float(t[1] - t[0])
     # every sample must sit on the grid t0 + k*step; the slack absorbs a grid

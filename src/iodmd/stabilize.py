@@ -37,12 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .identify import StateSpaceModel, _require_dense_a, _stacked_data
 from .linalg import _rounding_floor, pinv_apply, spectral_radius, truncated_svd
-# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 2 removes it)
-from .linalg import spectral_radius_gradient  # noqa: F401
+from .linalg import spectral_radius_gradient  # noqa: F401 - bench/tracing.py patches this name
 from .snapshot import SnapshotPairs
 
 __all__ = [
@@ -128,61 +126,14 @@ def _check_inputs(model: StateSpaceModel, pairs: SnapshotPairs) -> None:
         raise ValueError("snapshot pairs contain non-finite entries")
 
 
-# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 2 removes it)
-def _tied_modulus_gradients(
-    a: np.ndarray, rho: float, window: float
-) -> list[np.ndarray] | None:
-    """Gradients of |lambda_i| for every eigenvalue within the modulus window.
-
-    Left eigenvectors come from the inverse of the right eigenvector matrix,
-    which already carries the y^* x = 1 normalization row by row.  Returns
-    None when the eigenbasis is too ill-conditioned to invert reliably.
-    """
-    lam, v = np.linalg.eig(a)
-    try:
-        vinv = np.linalg.inv(v)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(vinv)):
-        return None
-    mods = np.abs(lam)
-    active = np.where(mods >= rho * (1.0 - window))[0]
-    grads = []
-    for i in active:
-        if mods[i] == 0.0:
-            continue
-        outer = np.outer(vinv[i, :], v[:, i])
-        grads.append(np.real((np.conj(lam[i]) / mods[i]) * outer))
-    return grads or None
+def _tracer_only(*args, **kwargs):
+    """Nothing runs this: ``bench/tracing.py`` ``SPAN_SITES`` is the only
+    reader of the names bound to it, and ROADMAP item 2 drops it with those
+    sites."""
+    raise NotImplementedError("kept only as a name for bench/tracing.py")
 
 
-# no caller; `bench/tracing.py` SPAN_SITES names it (ROADMAP item 2 removes it)
-def _modulus_clip_shift(a: np.ndarray, target: float) -> np.ndarray | None:
-    """Shift of A that contracts every eigenvalue modulus above target onto it.
-
-    Works on the real Schur form A = Q T Q^T: each 1x1 block (real
-    eigenvalue) or 2x2 block (complex conjugate pair) whose eigenvalue
-    modulus r exceeds the target is scaled by target / r.  T stays block
-    upper triangular, so exactly those moduli move onto the target (up to
-    rounding in the reassembly), and the result is real by construction.  Returns the additive shift,
-    or None when A is already inside the target radius.
-    """
-    t_mat, q = scipy.linalg.schur(a, output="real")
-    n = t_mat.shape[0]
-    t_new = t_mat.copy()
-    clipped = False
-    i = 0
-    while i < n:
-        size = 2 if i + 1 < n and t_mat[i + 1, i] != 0.0 else 1
-        block = slice(i, i + size)
-        r = float(np.max(np.abs(np.linalg.eigvals(t_mat[block, block]))))
-        if r > target:
-            t_new[block, block] *= target / r
-            clipped = True
-        i += size
-    if not clipped:
-        return None
-    return q @ t_new @ q.T - a
+_tied_modulus_gradients = _modulus_clip_shift = _tracer_only
 
 
 def _is_rounding(misfit: float, shape: tuple[int, int], energy: float) -> bool:

@@ -374,24 +374,29 @@ def test_unreadable_or_mismatched_inputs_stop_with_one_line(tmp_path, capsys):
     )
     data, nan_state, inf_output = (tmp_path / f"{n}.csv" for n in ("traj", "nan", "inf"))
     save_trajectory_csv(traj, data)
-    traj.states[1, 2] = np.nan
-    save_trajectory_csv(traj, nan_state)
-    traj.states[1, 2] = 0.0
-    traj.outputs[0, 4] = np.inf
-    save_trajectory_csv(traj, inf_output)
+    # the savers refuse non-finite values, so these files are edited copies:
+    # x2 of sample 2 (line 4) and y1 of sample 4 (line 6)
+    for path, line, column, token in ((nan_state, 3, 2, "nan"), (inf_output, 5, 6, "inf")):
+        lines = data.read_text().splitlines()
+        fields = lines[line].split(",")
+        fields[column] = token
+        lines[line] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
     one_input, nan_model = tmp_path / "model.json", tmp_path / "nan.json"
     two_outputs = tmp_path / "two_outputs.json"
     a = 1.1 * np.eye(3)
     save_model_json(StateSpaceModel(a=a, b=np.ones((3, 1)), c=np.ones((1, 3))), one_input)
     save_model_json(StateSpaceModel(a=a, b=np.ones((3, 2)), c=np.ones((2, 3))), two_outputs)
-    a[2, 1] = np.nan
-    save_model_json(StateSpaceModel(a=a, b=np.ones((3, 2)), c=np.ones((1, 3))), nan_model)
-    # malformed model files: a missing key, a fractional order, a list
+    # malformed model files: a missing key, a fractional order, a list, and
+    # a NaN in A, which json.dumps writes as a bare NaN token
     matching = tmp_path / "matching.json"
     save_model_json(
         StateSpaceModel(a=1.1 * np.eye(3), b=np.ones((3, 2)), c=np.ones((1, 3))), matching
     )
     doc = json.loads(matching.read_text())
+    nan_a = json.loads(matching.read_text())
+    nan_a["A"][2][1] = float("nan")
+    nan_model.write_text(json.dumps(nan_a))
     malformed = {
         "no_d": {k: v for k, v in doc.items() if k != "D"},
         "no_step": {k: v for k, v in doc.items() if k != "step_width"},

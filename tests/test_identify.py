@@ -202,6 +202,30 @@ def test_model_json_roundtrip_exact(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "block, value", [("A", np.nan), ("A", np.inf), ("D", -np.inf), ("basis", np.nan)]
+)
+def test_model_json_save_refuses_non_finite_entries(tmp_path, block, value):
+    # json.dumps would write a bare NaN or Infinity token, which is not
+    # standard JSON and which the loader rejects: the save refuses first,
+    # naming the entry that a load of such a file names
+    model = random_system(41)
+    model.basis = np.linalg.qr(np.random.default_rng(42).standard_normal((9, 4)))[0]
+    path, finite = tmp_path / "model.json", tmp_path / "finite.json"
+    save_model_json(model, finite)
+    doc = json.loads(finite.read_text())
+    doc[block][0][1] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as loaded:
+        load_model_json(path)
+    path.unlink()
+    getattr(model, block.lower())[0, 1] = value
+    with pytest.raises(ValueError, match=f"block {block} has non-finite entry") as saved:
+        save_model_json(model, path)
+    assert str(saved.value) == str(loaded.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
     "model",
     [
         StateSpaceModel(a=0.5 * np.eye(2), b=np.ones((2, 1))),

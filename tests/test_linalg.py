@@ -169,6 +169,8 @@ def test_spectral_radius_empty_and_nonsquare():
     assert spectral_radius(np.zeros((0, 0))) == 0.0
     with pytest.raises(ValueError):
         spectral_radius(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        spectral_radius_gradient(np.ones((2, 3)))
 
 
 def central_difference_gradient(a, h=1e-6):
@@ -217,7 +219,7 @@ def test_spectral_radius_gradient_zero_matrix_raises():
         spectral_radius_gradient(np.zeros((3, 3)))
 
 
-def test_tolerances_validation(projected_dmd):
+def test_negative_cutoff_is_rejected(projected_dmd):
     # the cutoff is a plain argument, checked where truncated_svd uses it
     m, rhs = random_matrix(2, (4, 9)), random_matrix(3, (3, 9))
     with pytest.raises(ValueError, match="eps must be >= 0"):

@@ -68,7 +68,7 @@ def scalar_plant():
     return StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], time_domain="continuous")
 
 
-def test_sim_config_validation():
+def test_step_input_timing_and_horizon_validation():
     # the simulation settings: dt and input_timing belong to the integrator,
     # the horizon T and its grid to the excitation
     u = np.zeros((1, 11))
@@ -130,7 +130,7 @@ def test_transport_delay_reaches_output_after_one_over_speed():
     assert abs(crossing - arrival) < 0.05
 
 
-def test_simulate_continuous_rejects_bad_start_and_method():
+def test_simulate_continuous_rejects_bad_start_samples_and_domain():
     plant = build_transport_plant(speed=1.0, dx=0.5)
     with pytest.raises(ValueError, match="x0 must have 2 entries, got 3"):
         simulate_continuous(plant, np.zeros((1, 6)), np.ones(3), 0.1)

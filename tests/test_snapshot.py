@@ -107,6 +107,30 @@ def test_trajectory_csv_roundtrip_exact(tmp_path):
     assert back.step_width == traj.step_width
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block, row, name", [("states", 1, "x2"), ("outputs", 0, "y1")])
+def test_trajectory_csv_save_refuses_non_finite_values(tmp_path, block, row, name, value):
+    # the loader rejects a file holding nan or inf: the save refuses first,
+    # naming the column and line that a load of such a file names
+    traj = small_traj()
+    path, finite = tmp_path / "traj.csv", tmp_path / "finite.csv"
+    save_trajectory_csv(traj, finite)
+    lines = finite.read_text().splitlines()
+    column = lines[0].split(",").index(name)
+    fields = lines[3].split(",")
+    fields[column] = repr(float(value))
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as loaded:
+        load_trajectory_csv(path)
+    path.unlink()
+    getattr(traj, block)[row, 2] = value
+    with pytest.raises(ValueError, match=r"non-finite value .* \(line 4\)") as saved:
+        save_trajectory_csv(traj, path)
+    assert str(saved.value) == str(loaded.value)
+    assert not path.exists()
+
+
 def test_load_trajectory_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n4,5,6\n")
