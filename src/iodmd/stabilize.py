@@ -22,11 +22,13 @@ pairs, x0 = [I 0], u0 = [0 I], x1 = [A B] and y0 = [C D], fit exactly and
 also give S = I, so the repair is the SVD clip of A0 at c: the closest
 stable model.
 
-The solve is over-relaxed ADMM (Boyd et al., Distributed Optimization and
+The solve is plain ADMM (Boyd et al., Distributed Optimization and
 Statistical Learning via the Alternating Direction Method of Multipliers,
-2011) on the whitened A~ = S A S^-1, at one fixed penalty and for a fixed
-number of steps.  Each step solves one linear system per row of A~, clips
-the singular values of the consensus iterate Y at c and updates the scaled
+2011) on the whitened A~ = S A S^-1, for a fixed number of steps at one
+penalty per solve: 0.05 with the misfit term, and without it the median
+diagonal entry of the distance term's Hessian in A~, then the whole
+Hessian.  Each step solves one linear system per row of A~, clips the
+singular values of the consensus iterate Y at c and updates the scaled
 dual.  Every Y meets the bound, so A = S^-1 Y S is certified at any step
 count, and with no data-dependent branch the result is a smooth function of
 the input: rounding-level changes of the fit move the repair by as little.
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 # ADMM steps of every repair; there is no residual stop
-_ITERATIONS = 500
+_ITERATIONS = 100
 
 # gamma: weight of the relative distance to the fit against the misfit ratio
 _DISTANCE_WEIGHT = 100.0
@@ -63,10 +65,9 @@ _CERTIFICATE_MARGIN = 1e-7
 # ulps times the order, which must not lift it above c
 _ROUNDING_ROOM = 1e-13
 
-# ADMM penalty and over-relaxation factor; 2.5 is where residual balancing
-# started at 10 settled by step 40 in every benchmark pe_noise repair
-_PENALTY = 2.5
-_RELAXATION = 1.7
+# ADMM penalty while the misfit term is on: within _ITERATIONS steps it
+# brings every pe_noise repair of the sweep to within 1e-5 of its optimum
+_MISFIT_PENALTY = 0.05
 
 
 def check_tau(tau: float) -> float:
@@ -83,8 +84,11 @@ class StabilizeReport:
     """Outcome summary of one stabilization solve.
 
     ``certificate`` is ||S A S^-1||_2 of the returned A, at most
-    (1 - tau)(1 - 1e-7) after a repair; the residuals are those of the last
-    ADMM step, in the whitened coordinates, and 0 when no repair ran.
+    (1 - tau)(1 - 1e-7) after a repair.  ``objective`` is the solver's J of
+    the returned A and ``objective_halfway`` its J after half the steps, so
+    their difference shows how far the last half still moved; both are NaN
+    when no repair ran.  The residuals are those of the last ADMM step, in
+    the whitened coordinates, and 0 when no repair ran.
     """
 
     iterations_total: int
@@ -92,6 +96,8 @@ class StabilizeReport:
     final_spectral_radius: float
     relative_model_change: float
     certificate: float
+    objective: float
+    objective_halfway: float
     primal_residual: float
     dual_residual: float
 
@@ -151,12 +157,12 @@ def _clip(m: np.ndarray, bound: float) -> np.ndarray:
 
 def _admm(
     a0: np.ndarray, m: np.ndarray, t: np.ndarray, s: np.ndarray, bound: float
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[np.ndarray, dict[str, float]]:
     """The repair A = S^-1 Y S with ||Y||_2 <= bound after _ITERATIONS
-    steps at the penalty _PENALTY, and the last step's primal and dual
-    residuals.
+    steps, and the report's solver fields: J of the returned A and after
+    half the steps, and the last step's primal and dual residuals.
 
-    Minimizes sum_i alpha_i ||(A~ M - T)_i||^2 + beta sum_ij D_ij (A~ - A~0)_ij^2
+    Minimizes J = sum_i alpha_i ||(A~ M - T)_i||^2 + beta sum_ij D_ij (A~ - A~0)_ij^2
     over A~ = S A S^-1, where A~0 = S a0 S^-1, M and T are S x0 and S x1
     with the input rows projected out, alpha_i = s_i^2 / m(a0) (0 when m(a0)
     is rounding noise),
@@ -171,22 +177,33 @@ def _admm(
     exact = _is_rounding(f0, m.shape, float(np.sum(s**2 * np.sum(t**2, axis=1))))
     alpha = np.zeros(r) if exact else s**2 / f0
     beta = _DISTANCE_WEIGHT / float(np.sum(a0 * a0))
+    # with the misfit term dropped the Hessian is diagonal, 2 beta D
+    penalty = float(np.median(2.0 * beta * d)) if exact else _MISFIT_PENALTY
+
+    def objective(y: np.ndarray) -> float:
+        misfit = np.sum(alpha * np.sum((y @ m - t) ** 2, axis=1))
+        return float(misfit + beta * np.sum(d * (y - y0) ** 2))
+
     # row i of A~ solves a~_i (hess_i + penalty I) = fixed_i + penalty (Y - U)_i
     hess = 2.0 * alpha[:, None, None] * (m @ m.T)
     hess[:, np.arange(r), np.arange(r)] += 2.0 * beta * d
     fixed = 2.0 * alpha[:, None] * (t @ m.T) + 2.0 * beta * d * y0
-    inv = np.linalg.inv(hess + _PENALTY * np.eye(r))
+    inv = np.linalg.inv(hess + penalty * np.eye(r))
 
     y, dual = y0, np.zeros_like(y0)
-    for _ in range(_ITERATIONS):
-        rhs = fixed + _PENALTY * (y - dual)
+    for step in range(1, _ITERATIONS + 1):
+        rhs = fixed + penalty * (y - dual)
         x = (rhs[:, None, :] @ inv)[:, 0, :]
-        relaxed = _RELAXATION * x + (1.0 - _RELAXATION) * y
-        y_prev, y = y, _clip(relaxed + dual, bound)
-        dual += relaxed - y
-    primal_res = float(np.linalg.norm(x - y))
-    dual_res = _PENALTY * float(np.linalg.norm(y - y_prev))
-    return y / whiten, primal_res, dual_res
+        y_prev, y = y, _clip(x + dual, bound)
+        dual += x - y
+        if step == _ITERATIONS // 2:
+            halfway = objective(y)
+    return y / whiten, {
+        "objective": objective(y),
+        "objective_halfway": halfway,
+        "primal_residual": float(np.linalg.norm(x - y)),
+        "dual_residual": penalty * float(np.linalg.norm(y - y_prev)),
+    }
 
 
 def stabilize(
@@ -213,7 +230,10 @@ def stabilize(
     s[s == 0.0] = 1.0
     rho = spectral_radius(model.a)
     if rho < boundary:
-        repaired, iterations, primal_res, dual_res = model, 0, 0.0, 0.0
+        repaired, iterations = model, 0
+        solver = dict(
+            objective=np.nan, objective_halfway=np.nan, primal_residual=0.0, dual_residual=0.0
+        )
     else:
         # x P with P the projector onto the complement of u0's row space
         v = truncated_svd(pairs.u0, 0.0).right_vectors
@@ -224,7 +244,7 @@ def stabilize(
         m = drop_inputs(pairs.x0 / s[:, None])
         t = drop_inputs(pairs.x1 / s[:, None])
         bound = boundary * (1.0 - _CERTIFICATE_MARGIN) * (1.0 - _ROUNDING_ROOM)
-        a, primal_res, dual_res = _admm(model.a, m, t, s, bound)
+        a, solver = _admm(model.a, m, t, s, bound)
         b, _ = pinv_apply(pairs.u0, 0.0, pairs.x1 - a @ pairs.x0)
         repaired = replace(model, a=a, b=b)
         iterations = _ITERATIONS
@@ -247,8 +267,7 @@ def stabilize(
         final_spectral_radius=rho,
         relative_model_change=change / z0_norm if z0_norm > 0.0 else change,
         certificate=float(np.linalg.norm(repaired.a / s[:, None] * s[None, :], 2)),
-        primal_residual=primal_res,
-        dual_residual=dual_res,
+        **solver,
     )
     if not rho < boundary:
         raise NotStabilizedError(

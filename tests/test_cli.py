@@ -243,6 +243,8 @@ def test_stabilize_forwards_only_tau(tmp_path, monkeypatch):
             final_spectral_radius=0.5,
             relative_model_change=0.0,
             certificate=0.5,
+            objective=1.0,
+            objective_halfway=1.0,
             primal_residual=0.0,
             dual_residual=0.0,
         )
@@ -276,6 +278,8 @@ def test_a_failed_repair_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsy
             final_spectral_radius=1.2,
             relative_model_change=0.1,
             certificate=0.99,
+            objective=1.0,
+            objective_halfway=1.0,
             primal_residual=1e-3,
             dual_residual=1e-3,
         )

@@ -138,6 +138,8 @@ def test_a_failed_repair_keeps_the_unstable_fit_and_its_report(monkeypatch):
         final_spectral_radius=1.01,
         relative_model_change=0.02,
         certificate=0.99,
+        objective=1.0,
+        objective_halfway=1.0,
         primal_residual=1e-3,
         dual_residual=1e-3,
     )

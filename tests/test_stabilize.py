@@ -83,6 +83,7 @@ def test_already_stable_model_is_returned_unchanged():
     assert report.final_objective_ratio == 1.0
     assert report.relative_model_change == 0.0
     assert report.primal_residual == report.dual_residual == 0.0
+    assert np.isnan(report.objective) and np.isnan(report.objective_halfway)
 
     # a 5-state fit from 3 pairs is underdetermined; with a basis attached,
     # the stable fit and its repair both keep the flag and the basis
@@ -174,6 +175,9 @@ def test_closest_model_repair_moves_only_the_a_block():
         assert np.array_equal(getattr(out, name), getattr(model, name)), name
     change = np.linalg.norm(out.a - model.a) / np.linalg.norm(model.blocks())
     assert report.relative_model_change == pytest.approx(change, rel=1e-12)
+    # an exact fit drops the misfit term: J is gamma ||A - A0||_F^2 / ||A0||_F^2
+    distance = 100.0 * np.sum((out.a - model.a) ** 2) / np.sum(model.a**2)
+    assert report.objective == pytest.approx(distance, rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -319,15 +323,17 @@ def test_closest_model_repair_is_the_svd_clip(seed):
 
 @pytest.fixture(scope="module")
 def noise_fits():
-    """The benchmark sweep's pe_noise fits at budgets 1e-2 and 1e-4, built
-    as the sweep builds them: one projection onto the wider basis, sliced."""
+    """The benchmark sweep's pe_noise fits at budgets 1e-2, 1e-3 and 1e-4,
+    built as the sweep builds them: one projection onto the widest basis,
+    sliced."""
     plant = build_transport_plant(1.3, 1e-3)
     spec = ExcitationSpec(kind="pe_gaussian_noise", seed=42)
     traj = generate_excitation(plant, spec, 1.0, 1e-3)
-    bases = pod_sweep(traj.states, (1e-2, 1e-4), mode="absolute")
+    budgets = (1e-2, 1e-3, 1e-4)
+    bases = pod_sweep(traj.states, budgets, mode="absolute")
     projected = project_pairs(make_pairs(traj), bases[-1].modes)
     fits = {}
-    for budget, basis in zip((1e-2, 1e-4), bases):
+    for budget, basis in zip(budgets, bases):
         n = basis.order
         pairs = replace(projected, x0=projected.x0[:n], x1=projected.x1[:n])
         fits[budget] = fit_reduced_iodmd(pairs, basis), pairs
@@ -349,9 +355,22 @@ def test_repair_is_stable_under_rounding_of_the_fit(noise_fits, budget):
         assert nudged_value == pytest.approx(value, rel=1e-6), name
 
 
+@pytest.mark.parametrize("budget", [1e-3, 1e-4])
+def test_repair_reaches_its_optimum_within_its_steps(monkeypatch, noise_fits, budget):
+    # orders 63 and 69: J of the repair is within 1e-5 of J after 4000
+    # steps, which stands in for the optimum J*
+    model, pairs = noise_fits[budget]
+    _, report = stabilize(model, pairs)
+    monkeypatch.setattr(stabilize_module, "_ITERATIONS", 4000)
+    _, converged = stabilize(model, pairs)
+    assert report.objective - converged.objective <= 1e-5
+    assert converged.objective <= report.objective_halfway
+
+
 def test_each_repair_factors_its_row_systems_once(monkeypatch, noise_fits):
-    # the ADMM penalty is fixed, so the row systems of a repair are inverted
-    # as one batch before the first step, and a stable model inverts nothing
+    # the ADMM penalty is fixed per solve, so the row systems of a repair are
+    # inverted as one batch before the first step, and a stable model
+    # inverts nothing
     inv, shapes = np.linalg.inv, []
 
     def counted(a):
